@@ -1,11 +1,10 @@
 // Design-choice ablations called out in DESIGN.md:
 //
 //   A. WGAN-GP vs WGAN weight clipping (critic regularization)
-//   B. exact distributed gradient penalty vs server-side (top-only) penalty
-//   C. generator conditional loss on/off: minority-category coverage
-//   D. DP noise on intermediate logits: the utility cost the paper cites
+//   B. generator conditional loss on/off: minority-category coverage
+//   C. DP noise on intermediate logits: the utility cost the paper cites
 //      when rejecting DP (§3.3 "Further protection methods")
-//   E. server vs peer-to-peer index sharing: the co-selection leak that
+//   D. server vs peer-to-peer index sharing: the co-selection leak that
 //      motivates the paper's server-side design (§3.1.6)
 #include <iostream>
 
@@ -30,7 +29,7 @@ int run() {
                         format_double(m.diff_corr)});
   };
 
-  // --- A + B + D: quality grid --------------------------------------------------
+  // --- A + B + C: quality grid --------------------------------------------------
   struct Variant {
     std::string name;
     std::function<void(core::GtvOptions&)> apply;
@@ -41,7 +40,6 @@ int run() {
        [](core::GtvOptions& o) {
          o.gan.critic_mode = gan::CriticMode::kWeightClipping;
        }},
-      {"top_only_gp", [](core::GtvOptions& o) { o.exact_gradient_penalty = false; }},
       {"no_conditional_loss",
        [](core::GtvOptions& o) { o.gan.use_conditional_loss = false; }},
       {"dp_noise_0.1", [](core::GtvOptions& o) { o.dp_noise_std = 0.1f; }},
@@ -59,7 +57,7 @@ int run() {
   parallel_tasks(std::move(tasks));
   for (std::size_t v = 0; v < variants.size(); ++v) report(variants[v].name, results[v]);
 
-  // --- C: minority coverage with/without the conditional vector ------------------
+  // --- B: minority coverage with/without the conditional vector ------------------
   {
     std::cout << "\n--- conditional vector vs minority-class coverage (loan target) ---\n";
     const std::size_t target = data.target;
@@ -82,7 +80,7 @@ int run() {
     }
   }
 
-  // --- E: peer-to-peer index sharing leak ------------------------------------------
+  // --- D: peer-to-peer index sharing leak ------------------------------------------
   {
     std::cout << "\n--- P2P index sharing: selection-frequency leak ---\n";
     core::GtvOptions options = default_gtv_options(config);

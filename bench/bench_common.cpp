@@ -27,11 +27,11 @@ std::string env_or(const char* name, const std::string& fallback) {
 
 BenchConfig BenchConfig::from_env() {
   BenchConfig config;
-  config.rows = std::stoul(env_or("GTV_BENCH_ROWS", "250"));
-  config.rounds = std::stoul(env_or("GTV_BENCH_ROUNDS", "100"));
-  config.repeats = std::stoul(env_or("GTV_BENCH_REPEATS", "1"));
-  config.seed = std::stoull(env_or("GTV_BENCH_SEED", "2025"));
-  config.out_dir = env_or("GTV_BENCH_OUT", "bench_results");
+  config.rows = std::stoul(env_or("GTV_BENCH_ROWS", std::to_string(config.rows)));
+  config.rounds = std::stoul(env_or("GTV_BENCH_ROUNDS", std::to_string(config.rounds)));
+  config.repeats = std::stoul(env_or("GTV_BENCH_REPEATS", std::to_string(config.repeats)));
+  config.seed = std::stoull(env_or("GTV_BENCH_SEED", std::to_string(config.seed)));
+  config.out_dir = env_or("GTV_BENCH_OUT", config.out_dir);
   const double scale = std::stod(env_or("GTV_BENCH_SCALE", "1.0"));
   config.rows = static_cast<std::size_t>(static_cast<double>(config.rows) * scale);
   config.rounds = static_cast<std::size_t>(static_cast<double>(config.rounds) * scale);

@@ -8,6 +8,7 @@
 //   GTV_BENCH_ROUNDS   GAN training rounds            (default 100)
 //   GTV_BENCH_REPEATS  repetitions averaged           (default 1; paper: 3)
 //   GTV_BENCH_SCALE    multiplies rows & rounds       (default 1.0)
+//   GTV_BENCH_SEED     data split + training seed     (default 2025)
 //   GTV_BENCH_DATASETS comma list                     (default all five)
 //   GTV_BENCH_OUT      output directory for CSVs      (default bench_results)
 //
@@ -41,8 +42,9 @@
 namespace gtv::bench {
 
 struct BenchConfig {
-  std::size_t rows = 400;
-  std::size_t rounds = 30;
+  // Defaults; from_env() falls back to them (see the knob table above).
+  std::size_t rows = 250;
+  std::size_t rounds = 100;
   std::size_t batch = 64;
   std::size_t d_steps = 2;
   std::size_t repeats = 1;

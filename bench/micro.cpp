@@ -1,7 +1,7 @@
 // Microbenchmarks + ablations (google-benchmark): substrate throughput
 // (matmul, autograd, GMM, encoder) and GTV per-round latency ablations
-// (clients, exact vs top-only gradient penalty, shuffling on/off) that back
-// the design choices called out in DESIGN.md.
+// (clients, shuffling on/off) that back the design choices called out in
+// DESIGN.md.
 #include <benchmark/benchmark.h>
 
 #include "core/gtv.h"
@@ -128,22 +128,6 @@ void BM_GtvRoundByClients(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GtvRoundByClients)->Arg(2)->Arg(3)->Arg(5)->Iterations(3);
-
-// Ablation: exact distributed WGAN-GP vs server-side (top-only) penalty.
-void BM_GtvRoundGpMode(benchmark::State& state) {
-  const bool exact = state.range(0) == 1;
-  Rng rng(7);
-  data::Table t = data::make_loan(300, rng);
-  core::GtvOptions options = tiny_gtv_options();
-  options.exact_gradient_penalty = exact;
-  core::GtvTrainer trainer(
-      data::vertical_split(t, {{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11, 12}}), options, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trainer.train_round());
-  }
-  state.SetLabel(exact ? "exact_gp" : "top_gp");
-}
-BENCHMARK(BM_GtvRoundGpMode)->Arg(1)->Arg(0)->Iterations(3);
 
 // Ablation: cost of the training-with-shuffling defence.
 void BM_GtvRoundShuffling(benchmark::State& state) {

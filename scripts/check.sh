@@ -20,9 +20,8 @@
 #   transport incremental build + transport tests, then the distributed
 #          smoke: gtv-node trains a 2-client split as 4 OS processes over
 #          TCP-localhost and the per-round losses must match the in-proc
-#          reference to 1e-5; a chaos run (>=10% drop + corruption) must
-#          complete with nonzero retries, every injected corruption caught
-#          by CRC, and losses identical to the clean run. Emits
+#          run (the same node roles on threads) to 1e-5, whose model hash
+#          must equal the committed BENCH_transport_smoke.json's. Emits
 #          BENCH_transport_smoke.json.
 #   kernels incremental build + the dense-kernel tests (bit-parity vs the
 #          naive reference, IEEE non-finite propagation, thread-pool
@@ -96,9 +95,9 @@ else
 fi
 
 # --- distributed transport smoke (stages: all, transport) --------------------
-# Trains the same tiny config three ways — in-process, as 4 OS processes
-# over TCP-localhost, and in-process through a chaos transport — and
-# asserts the loss trajectories agree.
+# Trains the same tiny config two ways — in-process and as 4 OS processes
+# over TCP-localhost — and asserts the loss trajectories agree and the
+# in-process model is the committed one.
 run_transport_stage() {
   local TOUT="$SMOKE_OUT/transport"
   mkdir -p "$TOUT"
@@ -108,7 +107,7 @@ run_transport_stage() {
   command -v python3 > /dev/null 2>&1 \
     || { echo "FAIL: the transport stage needs python3 to compare losses"; exit 1; }
 
-  # 1. In-process reference (single process, loopback transport).
+  # 1. In-process reference (the same roles on threads of one process).
   "$NODE" --role inproc $ARGS > "$TOUT/inproc.json"
 
   # 2. The same training as four real OS processes over TCP.
@@ -134,18 +133,12 @@ run_transport_stage() {
     exit 1
   fi
 
-  # 3. Chaos smoke: >=10% drops plus duplication and corruption; must
-  #    complete, retry, catch every corruption by CRC, and land on the
-  #    exact same losses + model hash as the clean in-proc run.
-  "$NODE" --role inproc $ARGS --chaos-drop 0.15 --chaos-dup 0.05 \
-    --chaos-corrupt 0.05 --chaos-seed 3 > "$TOUT/chaos.json"
-
   python3 - "$TOUT" <<'EOF'
 import json, sys
 out = sys.argv[1]
 inproc = json.load(open(f"{out}/inproc.json"))
 driver = json.load(open(f"{out}/driver.json"))
-chaos = json.load(open(f"{out}/chaos.json"))
+committed = json.load(open("BENCH_transport_smoke.json"))
 
 # TCP run must reproduce the in-proc loss trajectory to float tolerance.
 assert len(driver["rounds"]) == len(inproc["rounds"]), \
@@ -163,37 +156,23 @@ for party in ("server", "client0", "client1"):
     stats = json.load(open(f"{out}/{party}.json"))["traffic"]
     assert stats["bytes"] > 0, f"{party} moved no bytes: {stats}"
 
-# Chaos run: drops recovered by retransmit, corruption always CRC-caught,
-# and the delivered payloads identical — same losses, same model.
-ct, cs = chaos["traffic"], chaos["chaos"]
-assert cs["drops"] > 0, f"chaos injected no drops: {cs}"
-assert ct["retries"] > 0, f"chaos run needed no retries: {ct}"
-assert ct["corrupt_frames"] == cs["corruptions"], \
-    f"undetected corrupt frames: injected {cs['corruptions']}, caught {ct['corrupt_frames']}"
-assert chaos["model_hash"] == inproc["model_hash"], \
-    f"chaos changed the model: {chaos['model_hash']} vs {inproc['model_hash']}"
-for r, (c, i) in enumerate(zip(chaos["rounds"], inproc["rounds"])):
-    for field in ("d_loss", "g_loss", "gp", "wasserstein"):
-        assert c[field] == i[field], f"chaos round {r} {field} drifted"
+# The in-process model is the committed one: the same training, whichever
+# code runs it.
+assert inproc["model_hash"] == committed["model_hash"], \
+    f"in-proc model hash {inproc['model_hash']} != committed {committed['model_hash']}"
 
 baseline = {
     "schema_version": 1,
     "rounds": len(inproc["rounds"]),
     "tcp_vs_inproc_max_loss_delta": worst,
     "tcp_driver_bytes": driver["traffic"]["bytes"],
-    "chaos_drop_prob": 0.15,
-    "chaos_drops": cs["drops"],
-    "chaos_retries": ct["retries"],
-    "chaos_corruptions_injected": cs["corruptions"],
-    "chaos_corruptions_caught": ct["corrupt_frames"],
     "model_hash": inproc["model_hash"],
 }
 with open("BENCH_transport_smoke.json", "w") as f:
     json.dump(baseline, f, indent=1)
     f.write("\n")
 print(f"transport smoke OK: tcp max loss delta {worst}, "
-      f"{ct['retries']} retries recovered {cs['drops']} drops, "
-      f"{cs['corruptions']}/{cs['corruptions']} corruptions CRC-caught")
+      f"model hash {inproc['model_hash']}")
 EOF
 }
 

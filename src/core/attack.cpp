@@ -49,6 +49,11 @@ void PeerSelectionFrequencyAttack::observe(const std::vector<std::size_t>& origi
   ++observations_;
 }
 
+void PeerSelectionFrequencyAttack::merge(const PeerSelectionFrequencyAttack& other) {
+  for (const auto& [row, count] : other.counts_) counts_[row] += count;
+  observations_ += other.observations_;
+}
+
 PeerSelectionFrequencyAttack::Evaluation PeerSelectionFrequencyAttack::evaluate(
     const std::vector<std::size_t>& categories) const {
   // Identify the minority class.

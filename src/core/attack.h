@@ -70,6 +70,8 @@ class PeerSelectionFrequencyAttack {
  public:
   // One observed batch of ORIGINAL row identities.
   void observe(const std::vector<std::size_t>& original_rows);
+  // Adds another peer's observations (the coalition of all curious peers).
+  void merge(const PeerSelectionFrequencyAttack& other);
 
   std::size_t observation_count() const { return observations_; }
   const std::unordered_map<std::size_t, std::size_t>& selection_counts() const {

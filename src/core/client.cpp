@@ -86,7 +86,6 @@ Tensor GtvClient::forward_fake(const Tensor& g_slice, bool train_generator) {
     ag::NoGradGuard no_grad;
     fake_value = run_generator_bottom(Var(g_slice), nullptr).value();
   }
-  last_fake_encoded_ = fake_value;
   if (pending_fake_d_) {
     throw std::logic_error("GtvClient::forward_fake: discriminator backward still pending");
   }
@@ -220,10 +219,6 @@ data::Table GtvClient::synthesize(const Tensor& g_slice) {
   Var fake = run_generator_bottom(Var(g_slice), nullptr);
   g_bottom_->set_training(true);
   return encoder_.decode(fake.value());
-}
-
-Tensor GtvClient::encoded_rows(const std::vector<std::size_t>& idx) const {
-  return encoded_.gather_rows(idx);
 }
 
 std::vector<std::size_t> GtvClient::original_rows(const std::vector<std::size_t>& idx) const {

@@ -78,15 +78,11 @@ class GtvClient {
   // --- synthesis -------------------------------------------------------------------------
   data::Table synthesize(const Tensor& g_slice);
 
-  // --- simulation / evaluation access (not part of the deployed protocol) ---
+  // --- evaluation and checkpoint access (not part of the deployed protocol) ---
+  // Bottom modules, exposed for checkpointing (serve::snapshot_net, resume).
   nn::Module& discriminator_bottom() { return *d_bottom_; }
-  // Bottom generator module, exposed for checkpointing (serve::snapshot_net).
   nn::Module& generator_bottom() { return *g_bottom_; }
   std::vector<ag::Var> discriminator_parameters() { return d_bottom_->parameters(); }
-  Tensor encoded_rows(const std::vector<std::size_t>& idx) const;
-  // Encoded synthetic rows produced by the most recent discriminator-phase
-  // forward_fake (input side of the exact gradient penalty).
-  const Tensor& last_fake_encoded() const { return last_fake_encoded_; }
   // Maps current row indices to the pre-training ("original") row identity.
   // Clients can always do this because they know every shuffle seed — which
   // is exactly why P2P index sharing leaks (§3.1.6).
@@ -132,7 +128,6 @@ class GtvClient {
   std::optional<PendingGenerator> pending_generator_;
   std::optional<ag::Var> pending_fake_d_;
   std::optional<ag::Var> pending_real_;
-  Tensor last_fake_encoded_;
   std::vector<std::size_t> original_row_;  // original identity of each current row
   std::optional<encode::ConditionalSampler::Sample> pending_condition_;
 };

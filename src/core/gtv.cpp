@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <map>
+#include <set>
 #include <stdexcept>
 
-#include "core/resume.h"
-
-#include "gan/losses.h"
 #include "obs/health.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
@@ -15,43 +13,9 @@
 
 namespace gtv::core {
 
-using ag::Var;
-
-namespace {
-
-// Phase-duration histograms (milliseconds). Looked up once; recording is a
-// couple of relaxed atomics per round, so the phases are always measured —
-// that is what RoundTelemetry and the benchmark reports are built from.
-obs::Histogram& phase_histogram(const char* phase) {
-  return obs::MetricsRegistry::instance().histogram(std::string("gtv.phase.") + phase +
-                                                    "_ms");
-}
-
-struct PhaseHistograms {
-  obs::Histogram& round = phase_histogram("round");
-  obs::Histogram& cv_generation = phase_histogram("cv_generation");
-  obs::Histogram& fake_forward = phase_histogram("fake_forward");
-  obs::Histogram& real_forward = phase_histogram("real_forward");
-  obs::Histogram& critic_backward = phase_histogram("critic_backward");
-  obs::Histogram& gradient_penalty = phase_histogram("gradient_penalty");
-  obs::Histogram& generator_step = phase_histogram("generator_step");
-  obs::Histogram& shuffle = phase_histogram("shuffle");
-
-  static PhaseHistograms& get() {
-    static PhaseHistograms h;
-    return h;
-  }
-};
-
-}  // namespace
-
 GtvTrainer::GtvTrainer(std::vector<data::Table> client_tables, GtvOptions options,
                        std::uint64_t seed)
-    : options_(options),
-      seed_(seed),
-      shuffle_stream_(options.shuffle_seed),
-      publish_stream_(options.shuffle_seed ^ 0x9e3779b97f4a7c15ULL),
-      health_monitor_(options.health.thresholds) {
+    : options_(options), health_monitor_(options.health.thresholds) {
   if (client_tables.empty()) throw std::invalid_argument("GtvTrainer: no clients");
   const std::size_t rows = client_tables.front().n_rows();
   std::vector<std::size_t> feature_counts;
@@ -63,19 +27,21 @@ GtvTrainer::GtvTrainer(std::vector<data::Table> client_tables, GtvOptions option
   }
   initial_joined_ = data::Table::concat_columns(client_tables);
 
+  NodeConfig config;
+  config.options = options_;
+  config.n_clients = client_tables.size();
+  config.rounds = 0;  // rounds are driven one train_round() at a time
+  config.seed = seed;
+  config.train_rows = rows;
   const auto ratios = ratio_vector(feature_counts);
   const auto g_widths = proportional_widths(options_.generator_hidden, ratios);
   const auto d_widths = proportional_widths(options_.gan.hidden, ratios);
-
-  Rng seeder(seed);
-  std::vector<GtvServer::ClientInfo> infos;
   for (std::size_t i = 0; i < client_tables.size(); ++i) {
-    clients_.push_back(std::make_unique<GtvClient>(i, std::move(client_tables[i]), options_,
-                                                   g_widths[i], d_widths[i],
-                                                   seeder.next_u64()));
-    infos.push_back({clients_[i]->cv_width(), g_widths[i], d_widths[i]});
+    clients_.push_back(std::make_unique<ClientNode>(config, i, std::move(client_tables[i]),
+                                                    g_widths[i], d_widths[i], &meter_));
   }
-  server_ = std::make_unique<GtvServer>(options_, std::move(infos), seeder.next_u64());
+  server_ = std::make_unique<ServerNode>(config, g_widths, d_widths, &meter_);
+  driver_ = std::make_unique<DriverNode>(config, &meter_);
 
   // Name the Perfetto rows up front (remembered even if the sink opens
   // later): server = pid 0, client k = pid k + 1, trainer loop = driver.
@@ -91,281 +57,104 @@ GtvTrainer::GtvTrainer(std::vector<data::Table> client_tables, GtvOptions option
   // patterns; we hand it over for evaluation.
   std::vector<ServerInferenceAttack::CvBit> bits;
   std::size_t column_offset = 0;
-  for (const auto& client : clients_) {
-    for (const auto& span : client->encoder().discrete_spans()) {
+  for (const auto& node : clients_) {
+    const GtvClient& client = node->client();
+    for (const auto& span : client.encoder().discrete_spans()) {
       for (std::size_t k = 0; k < span.cardinality; ++k) {
         bits.push_back({column_offset + span.source_column, k});
       }
     }
-    column_offset += client->n_features();
+    column_offset += client.n_features();
   }
-  attack_.set_layout(std::move(bits));
+  server_->set_attack_layout(std::move(bits));
 }
 
-std::string GtvTrainer::link_up(std::size_t client) const {
-  return "client" + std::to_string(client) + "->server";
+GtvTrainer::~GtvTrainer() {
+  if (fleet_ == nullptr) return;
+  if (!fleet_->stopped()) {
+    try {
+      driver_->finish();
+    } catch (...) {
+      // The join below still ends every party: stop() wakes their waits.
+    }
+  }
+  fleet_->stop();
+  for (auto& party : parties_) party.join();
 }
 
-std::string GtvTrainer::link_down(std::size_t client) const {
-  return "server->client" + std::to_string(client);
-}
-
-gan::RoundLosses GtvTrainer::critic_step(std::size_t batch, obs::RoundTelemetry& telemetry) {
-  const std::size_t n = clients_.size();
-  gan::RoundLosses losses;
-  auto& phases = PhaseHistograms::get();
-  std::optional<obs::ScopedTimer> span;
-  std::optional<obs::MemPeakScope> mem;
-
-  // --- CVGeneration (Algorithm 1, step 4) ------------------------------------
-  span.emplace("cv_generation", &phases.cv_generation, &telemetry.cv_generation_ms,
-               /*always=*/true);
-  mem.emplace(&telemetry.mem_peak_bytes.cv_generation);
-  const bool p2p = options_.index_sharing == IndexSharing::kPeerToPeer;
-  const std::size_t p = server_->select_cv_client();
-  auto sample = clients_[p]->sample_cv(batch);
-  const Tensor cv_p = meter_.transfer(link_up(p), sample.cv);
-  std::vector<std::size_t> idx;
-  if (p2p) {
-    // §3.1.6 alternative: indices go peer-to-peer; the server never sees
-    // them, but every peer does — and peers know the shuffle history, so
-    // they can track original row identities (the co-selection leak).
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == p) continue;
-      const std::string link = "client" + std::to_string(p) + "->client" + std::to_string(i);
-      idx = meter_.transfer(link, sample.rows);
-      peer_attack_.observe(clients_[i]->original_rows(idx));
-    }
-    if (n == 1) idx = sample.rows;
-  } else {
-    idx = meter_.transfer(link_up(p), sample.rows);
+void GtvTrainer::start_parties() {
+  std::set<std::string> command_links = {"driver->server"};
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    command_links.insert("driver->client" + std::to_string(i));
   }
-  const Tensor global_cv = server_->assemble_global_cv(p, cv_p, batch);
-  if (!p2p) attack_.observe(idx, global_cv);  // semi-honest server curiosity
-  mem.reset();
-  span.reset();
-
-  server_->zero_grad_discriminator();
-  for (auto& client : clients_) client->zero_grad_discriminator();
-
-  // --- fake path (steps 5-8): G frozen, D^b graphs retained per client -------
-  span.emplace("fake_forward", &phases.fake_forward, &telemetry.fake_forward_ms,
-               /*always=*/true);
-  mem.emplace(&telemetry.mem_peak_bytes.fake_forward);
-  const auto slices = server_->generator_forward(global_cv, /*retain_graph=*/false);
-  std::vector<Var> fake_vars;
-  fake_vars.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Tensor slice = meter_.transfer(link_down(i), slices[i]);
-    const Tensor d_out = meter_.transfer(
-        link_up(i), clients_[i]->privatize(clients_[i]->forward_fake(slice, false)));
-    fake_vars.emplace_back(d_out, /*requires_grad=*/true);
-  }
-  mem.reset();
-  span.reset();
-
-  // --- real path (steps 9-15) --------------------------------------------------
-  span.emplace("real_forward", &phases.real_forward, &telemetry.real_forward_ms,
-               /*always=*/true);
-  mem.emplace(&telemetry.mem_peak_bytes.real_forward);
-  std::vector<Var> real_vars;
-  real_vars.reserve(n);
-  std::vector<std::size_t> real_full_rows(n, 0);  // rows each client forwarded
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == p || p2p) {
-      // Client p always knows the indices; in the P2P variant every client
-      // received them and forwards only the selected rows.
-      const Tensor d_out = meter_.transfer(
-          link_up(i), clients_[i]->privatize(
-                          clients_[i]->forward_real_selected(i == p ? sample.rows : idx)));
-      real_full_rows[i] = d_out.rows();
-      real_vars.emplace_back(d_out, /*requires_grad=*/true);
-    } else {
-      // Non-contributing clients pass ALL their rows; the server selects.
-      const Tensor d_out_full =
-          meter_.transfer(link_up(i), clients_[i]->privatize(clients_[i]->forward_real_all()));
-      real_full_rows[i] = d_out_full.rows();
-      real_vars.emplace_back(d_out_full.gather_rows(idx), /*requires_grad=*/true);
-    }
-  }
-  mem.reset();
-  span.reset();
-
-  // --- top loss (step 16) -----------------------------------------------------------
-  obs::ScopedTimer backward_span("critic_backward", &phases.critic_backward,
-                                 &telemetry.critic_backward_ms, /*always=*/true);
-  obs::MemPeakScope backward_mem(&telemetry.mem_peak_bytes.critic_backward);
-  Var cv_var = ag::constant(global_cv);
-  Var d_fake = server_->critic_top(fake_vars, cv_var);
-  Var d_real = server_->critic_top(real_vars, cv_var);
-  Var critic = gan::wasserstein_critic_loss(d_real, d_fake);
-
-  Var gp;
-  span.emplace("gradient_penalty", &phases.gradient_penalty,
-               &telemetry.gradient_penalty_ms, /*always=*/true);
-  mem.emplace(&telemetry.mem_peak_bytes.gradient_penalty);
-  if (options_.gan.critic_mode == gan::CriticMode::kWeightClipping) {
-    gp = ag::constant(Tensor::scalar(0.0f));
-  } else if (options_.exact_gradient_penalty) {
-    // Simulation concession: exact WGAN-GP through the full distributed
-    // critic. The interpolated rows never leave this closure; a deployment
-    // would realize this with a split double-backprop protocol.
-    std::vector<std::size_t> widths;
-    std::vector<Tensor> fake_rows, real_rows;
-    for (std::size_t i = 0; i < n; ++i) {
-      widths.push_back(clients_[i]->encoded_width());
-      fake_rows.push_back(clients_[i]->last_fake_encoded());
-      real_rows.push_back(clients_[i]->encoded_rows(sample.rows));
-    }
-    const Tensor fake_x = Tensor::concat_cols(fake_rows);
-    const Tensor real_x = Tensor::concat_cols(real_rows);
-    auto critic_fn = [&](const Var& x) {
-      std::vector<Var> parts;
-      std::size_t offset = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        Var chunk = ag::slice_cols(x, offset, offset + widths[i]);
-        parts.push_back(clients_[i]->discriminator_bottom().forward(chunk));
-        offset += widths[i];
-      }
-      return server_->critic_top(parts, cv_var);
-    };
-    gp = gan::gradient_penalty(critic_fn, real_x, fake_x, server_->rng());
-  } else {
-    // Server-local penalty on D^t's concatenated input logits.
-    std::vector<Tensor> fake_logits, real_logits;
-    std::vector<std::size_t> widths;
-    for (std::size_t i = 0; i < n; ++i) {
-      fake_logits.push_back(fake_vars[i].value());
-      real_logits.push_back(real_vars[i].value());
-      widths.push_back(fake_vars[i].cols());
-    }
-    auto critic_fn = [&](const Var& x) {
-      std::vector<Var> parts;
-      std::size_t offset = 0;
-      for (std::size_t w : widths) {
-        parts.push_back(ag::slice_cols(x, offset, offset + w));
-        offset += w;
-      }
-      return server_->critic_top(parts, cv_var);
-    };
-    gp = gan::gradient_penalty(critic_fn, Tensor::concat_cols(real_logits),
-                               Tensor::concat_cols(fake_logits), server_->rng());
-  }
-  mem.reset();
-  span.reset();
-
-  Var loss = ag::add(critic, ag::mul_scalar(gp, options_.gan.gp_lambda));
-  ag::backward(loss);
-
-  // --- gradient return + bottom updates ---------------------------------------------
-  for (std::size_t i = 0; i < n; ++i) {
-    const Tensor fake_grad = meter_.transfer(link_down(i), fake_vars[i].grad());
-    clients_[i]->backward_fake_discriminator(fake_grad);
-
-    Tensor real_grad = real_vars[i].grad();
-    if (i != p && !p2p) {
-      // Scatter the selected-row gradients back into the full-table shape
-      // the client forwarded (rows may repeat: accumulate).
-      Tensor full(real_full_rows[i], real_grad.cols());
-      for (std::size_t b = 0; b < idx.size(); ++b) {
-        for (std::size_t c = 0; c < real_grad.cols(); ++c) {
-          full(idx[b], c) += real_grad(b, c);
+  fleet_ = std::make_shared<net::FleetTransport>(meter_.shared_transport(),
+                                                 std::move(command_links));
+  meter_.set_transport(fleet_);
+  const auto launch = [this](std::function<void()> run) {
+    parties_.emplace_back([this, run = std::move(run)] {
+      try {
+        run();
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(failure_mu_);
+          if (party_failure_ == nullptr) party_failure_ = std::current_exception();
         }
+        fleet_->stop();
       }
-      real_grad = std::move(full);
-    }
-    clients_[i]->backward_real(meter_.transfer(link_down(i), real_grad));
+    });
+  };
+  try {
+    launch([this] { server_->run(); });
+    for (auto& client : clients_) launch([&client] { client->run(); });
+  } catch (...) {
+    fleet_->stop();
+    throw;
   }
-  server_->step_discriminator();
-  for (auto& client : clients_) client->step_discriminator();
-  if (options_.gan.critic_mode == gan::CriticMode::kWeightClipping) {
-    gan::clip_parameters(server_->discriminator_parameters(), options_.gan.clip_value);
-    for (auto& client : clients_) {
-      gan::clip_parameters(client->discriminator_parameters(), options_.gan.clip_value);
-    }
-  }
-
-  losses.d_loss = loss.value()(0, 0);
-  losses.gp = gp.value()(0, 0);
-  losses.wasserstein = -critic.value()(0, 0);
-  return losses;
 }
 
-float GtvTrainer::generator_step(std::size_t batch, obs::RoundTelemetry& telemetry) {
-  const std::size_t n = clients_.size();
-  obs::ScopedTimer span("generator_step", &PhaseHistograms::get().generator_step,
-                        &telemetry.generator_step_ms, /*always=*/true);
-  obs::MemPeakScope mem(&telemetry.mem_peak_bytes.generator_step);
-
-  // CVGeneration (step 18). The index list is transferred for protocol
-  // fidelity even though the generator update does not consume it (in the
-  // P2P variant it is simply not produced for this phase).
-  const std::size_t p = server_->select_cv_client();
-  auto sample = clients_[p]->sample_cv(batch);
-  const Tensor cv_p = meter_.transfer(link_up(p), sample.cv);
-  if (options_.index_sharing == IndexSharing::kServer) {
-    const std::vector<std::size_t> idx = meter_.transfer(link_up(p), sample.rows);
-    attack_.observe(idx, server_->assemble_global_cv(p, cv_p, batch));
+void GtvTrainer::drive(const std::function<void()>& exchange) {
+  if (fleet_ == nullptr) start_parties();
+  try {
+    fleet_->await_quiescent();  // a no-op unless the setup handshake still runs
+    exchange();
+    fleet_->await_quiescent();
+  } catch (...) {
+    std::exception_ptr failure;
+    {
+      std::lock_guard<std::mutex> lock(failure_mu_);
+      failure = party_failure_;
+    }
+    if (failure != nullptr) std::rethrow_exception(failure);
+    // A driver-side error that left every party parked (a rejected
+    // checkpoint, say) leaves the fleet usable; anything else ends it.
+    if (!fleet_->quiescent()) fleet_->stop();
+    throw;
   }
-  const Tensor global_cv = server_->assemble_global_cv(p, cv_p, batch);
-  if (options_.gan.use_conditional_loss) clients_[p]->set_pending_condition(sample);
+}
 
-  server_->zero_grad_generator();
-  for (auto& client : clients_) client->zero_grad_generator();
-
-  const auto slices = server_->generator_forward(global_cv, /*retain_graph=*/true);
-  std::vector<Var> fake_vars;
-  fake_vars.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Tensor slice = meter_.transfer(link_down(i), slices[i]);
-    const Tensor d_out = meter_.transfer(
-        link_up(i), clients_[i]->privatize(clients_[i]->forward_fake(slice, true)));
-    fake_vars.emplace_back(d_out, /*requires_grad=*/true);
-  }
-
-  Var cv_var = ag::constant(global_cv);
-  Var d_fake = server_->critic_top(fake_vars, cv_var);
-  Var adv = gan::wasserstein_generator_loss(d_fake);
-  ag::backward(adv);
-
-  std::vector<Tensor> slice_grads;
-  slice_grads.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Tensor d_out_grad = meter_.transfer(link_down(i), fake_vars[i].grad());
-    slice_grads.push_back(meter_.transfer(link_up(i), clients_[i]->backward_generator(d_out_grad)));
-  }
-  server_->generator_backward(slice_grads);
-
-  server_->step_generator();
-  for (auto& client : clients_) client->step_generator();
-  return adv.value()(0, 0);
+GtvServer& GtvTrainer::server() {
+  drive([] {});
+  return server_->server();
 }
 
 gan::RoundLosses GtvTrainer::train_round() {
-  const std::size_t batch = std::min(options_.gan.batch_size, clients_.front()->n_rows());
-  gan::RoundLosses losses;
-  obs::RoundTelemetry telemetry;
-  telemetry.round = telemetry_.size();
+  static obs::Histogram& round_hist =
+      obs::MetricsRegistry::instance().histogram("gtv.phase.round_ms");
   const std::map<std::string, net::LinkStats> traffic_before = meter_.all();
+  gan::RoundLosses losses;
+  double round_ms = 0.0;
   {
-    obs::ScopedTimer round_span("round", &PhaseHistograms::get().round,
-                                &telemetry.total_ms, /*always=*/true);
-    obs::MemPeakScope round_mem(&telemetry.mem_peak_bytes.total);
-    for (std::size_t step = 0; step < options_.gan.d_steps_per_round; ++step) {
-      losses = critic_step(batch, telemetry);
-    }
-    losses.g_loss = generator_step(batch, telemetry);
-
-    if (options_.training_with_shuffling) {
-      // Step 23: all clients shuffle with the same secret per-round seed.
-      obs::ScopedTimer shuffle_span("shuffle", &PhaseHistograms::get().shuffle,
-                                    &telemetry.shuffle_ms, /*always=*/true);
-      obs::MemPeakScope shuffle_mem(&telemetry.mem_peak_bytes.shuffle);
-      const std::uint64_t round_seed = shuffle_stream_.next_u64();
-      for (auto& client : clients_) client->shuffle_local_data(round_seed);
-    }
+    obs::ScopedTimer round_span("round", &round_hist, &round_ms, /*always=*/true);
+    drive([&] { losses = driver_->train_round(); });
   }
   obs::publish_memory_gauges();
+  obs::RoundTelemetry telemetry = server_->take_phases();
+  telemetry.round = telemetry_.size();
+  telemetry.total_ms = round_ms;
+  // The clients shuffle concurrently; the slowest one gates the next round.
+  for (auto& client : clients_) {
+    telemetry.shuffle_ms = std::max(telemetry.shuffle_ms, client->take_shuffle_ms());
+  }
   telemetry.d_loss = losses.d_loss;
   telemetry.g_loss = losses.g_loss;
   telemetry.gp = losses.gp;
@@ -405,12 +194,13 @@ void GtvTrainer::collect_health(const gan::RoundLosses& losses) {
     health.modules.push_back(
         {module, s.grad_norm, s.weight_norm, s.update_norm, s.grad_max_abs, s.nonfinite});
   };
-  add("server.G", server_->adam_generator().last_step_stats());
-  add("server.D", server_->adam_discriminator().last_step_stats());
+  GtvServer& server = server_->server();
+  add("server.G", server.adam_generator().last_step_stats());
+  add("server.D", server.adam_discriminator().last_step_stats());
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     const std::string prefix = "client" + std::to_string(i);
-    add(prefix + ".G", clients_[i]->adam_generator().last_step_stats());
-    add(prefix + ".D", clients_[i]->adam_discriminator().last_step_stats());
+    add(prefix + ".G", client(i).adam_generator().last_step_stats());
+    add(prefix + ".D", client(i).adam_discriminator().last_step_stats());
   }
 
   // Tier 3 collection (rule evaluation for it is warmup-gated downstream).
@@ -433,94 +223,41 @@ void GtvTrainer::collect_health(const gan::RoundLosses& losses) {
 }
 
 void GtvTrainer::run_probe(obs::RoundHealth& health) {
-  const std::size_t n = clients_.size();
-  const std::size_t rows = std::max<std::size_t>(options_.health.probe_rows, 1);
-
-  if (probe_reference_.empty()) {
-    probe_reference_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const data::Table& real = clients_[i]->local_table();
-      probe_reference_[i].reserve(real.n_cols());
-      for (std::size_t c = 0; c < real.n_cols(); ++c) {
-        ColumnReference ref;
-        const auto& col = real.column(c);
-        if (real.spec(c).type == data::ColumnType::kCategorical) {
-          ref.categorical = true;
-          ref.freq.assign(real.spec(c).cardinality(), 0.0);
-          for (double v : col) {
-            const auto k = static_cast<std::size_t>(v);
-            if (k < ref.freq.size()) ref.freq[k] += 1.0;
-          }
-        } else {
-          double sum = 0.0, sq = 0.0;
-          for (double v : col) {
-            sum += v;
-            sq += v * v;
-          }
-          const double inv = col.empty() ? 0.0 : 1.0 / static_cast<double>(col.size());
-          ref.mean = sum * inv;
-          const double var = std::max(0.0, sq * inv - ref.mean * ref.mean);
-          ref.stddev = std::sqrt(var);
-        }
-        probe_reference_[i].push_back(std::move(ref));
-      }
-    }
-  }
-
   // Synthesis perturbs the server/client RNG streams (noise, CV sampling,
   // decode); snapshot and restore them so a probed run follows the exact
-  // training trajectory of an unprobed one. The probe tensors also bypass
-  // the TrafficMeter: this is local introspection, not protocol traffic,
-  // and telemetry's per-round link deltas must keep summing to the meter
-  // totals.
-  const Rng server_rng = server_->rng();
+  // training trajectory of an unprobed one. The probe also bypasses the
+  // TrafficMeter: it is local introspection, not protocol traffic.
+  GtvServer& server = server_->server();
+  const Rng server_rng = server.rng();
   std::vector<Rng> client_rngs;
-  client_rngs.reserve(n);
-  for (auto& client : clients_) client_rngs.push_back(client->rng());
+  for (std::size_t i = 0; i < n_clients(); ++i) client_rngs.push_back(client(i).rng());
+  server.set_training(false);
+  const auto shards = synthesize(std::max<std::size_t>(options_.health.probe_rows, 1));
+  server.set_training(true);
+  server.rng() = server_rng;
+  for (std::size_t i = 0; i < n_clients(); ++i) client(i).rng() = client_rngs[i];
 
-  server_->set_training(false);
-  const std::size_t p = server_->select_cv_client();
-  const Tensor cv_p = clients_[p]->sample_cv_original(rows);
-  const Tensor global_cv = server_->assemble_global_cv(p, cv_p, rows);
-  const auto slices = server_->generator_forward(global_cv, /*retain_graph=*/false);
-  std::vector<data::Table> shards;
-  shards.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) shards.push_back(clients_[i]->synthesize(slices[i]));
-  server_->set_training(true);
-
-  server_->rng() = server_rng;
-  for (std::size_t i = 0; i < n; ++i) clients_[i]->rng() = client_rngs[i];
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const data::Table& fake = shards[i];
-    for (std::size_t c = 0; c < fake.n_cols(); ++c) {
-      const ColumnReference& ref = probe_reference_[i][c];
-      obs::ColumnProbe probe;
-      probe.column = "client" + std::to_string(i) + "." + fake.spec(c).name;
-      const auto& col = fake.column(c);
-      if (ref.categorical) {
-        std::vector<double> freq(ref.freq.size(), 0.0);
-        for (double v : col) {
-          const auto k = static_cast<std::size_t>(v);
-          if (k < freq.size()) freq[k] += 1.0;
-        }
-        probe.jsd = obs::jensen_shannon(ref.freq, freq);
-      } else {
-        double sum = 0.0, sq = 0.0;
-        for (double v : col) {
-          sum += v;
-          sq += v * v;
-        }
-        const double inv = col.empty() ? 0.0 : 1.0 / static_cast<double>(col.size());
-        const double mean = sum * inv;
-        const double stddev = std::sqrt(std::max(0.0, sq * inv - mean * mean));
-        const double scale = std::max(ref.stddev, 1e-6);
-        probe.mean_drift = (mean - ref.mean) / scale;
-        probe.std_drift = (stddev - ref.stddev) / scale;
-      }
-      health.probes.push_back(std::move(probe));
+  // The real shards are shuffled every round, which keeps their marginals.
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const data::Table& real = client(i).local_table();
+    for (std::size_t c = 0; c < real.n_cols(); ++c) {
+      const data::ColumnSpec& spec = real.spec(c);
+      health.probes.push_back(obs::probe_column(
+          "client" + std::to_string(i) + "." + spec.name, real.column(c), shards[i].column(c),
+          spec.type == data::ColumnType::kCategorical ? spec.cardinality() : 0));
     }
   }
+}
+
+std::vector<data::Table> GtvTrainer::synthesize(std::size_t rows) {
+  GtvServer& server = server_->server();
+  const std::size_t p = server.select_cv_client();
+  const Tensor global_cv =
+      server.assemble_global_cv(p, client(p).sample_cv_original(rows), rows);
+  const auto slices = server.generator_forward(global_cv, /*retain_graph=*/false);
+  std::vector<data::Table> shards;
+  for (std::size_t i = 0; i < slices.size(); ++i) shards.push_back(client(i).synthesize(slices[i]));
+  return shards;
 }
 
 void GtvTrainer::train(
@@ -542,24 +279,18 @@ void GtvTrainer::train(
 }
 
 std::vector<data::Table> GtvTrainer::sample_per_client(std::size_t rows) {
+  GtvServer& server = this->server();
   const std::size_t n = clients_.size();
-  server_->set_training(false);
+  server.set_training(false);
   std::vector<std::vector<data::Table>> chunks(n);
-  std::size_t produced = 0;
   const std::size_t batch = std::max<std::size_t>(options_.gan.batch_size, 1);
-  while (produced < rows) {
+  for (std::size_t produced = 0; produced < rows;) {
     const std::size_t take = std::min(batch, rows - produced);
-    const std::size_t p = server_->select_cv_client();
-    const Tensor cv_p = meter_.transfer(link_up(p), clients_[p]->sample_cv_original(take));
-    const Tensor global_cv = server_->assemble_global_cv(p, cv_p, take);
-    const auto slices = server_->generator_forward(global_cv, /*retain_graph=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Tensor slice = meter_.transfer(link_down(i), slices[i]);
-      chunks[i].push_back(clients_[i]->synthesize(slice));
-    }
+    auto shards = synthesize(take);
+    for (std::size_t i = 0; i < n; ++i) chunks[i].push_back(std::move(shards[i]));
     produced += take;
   }
-  server_->set_training(true);
+  server.set_training(true);
 
   std::vector<data::Table> shards;
   shards.reserve(n);
@@ -577,7 +308,7 @@ std::vector<data::Table> GtvTrainer::sample_per_client(std::size_t rows) {
   // Secure publication: every client applies the same secret permutation so
   // the server cannot map generator inputs to published rows, while the
   // shards stay row-aligned with each other.
-  const std::uint64_t publish_seed = publish_stream_.next_u64();
+  const std::uint64_t publish_seed = driver_->publish_stream().next_u64();
   for (auto& shard : shards) {
     Rng rng(publish_seed);
     shard.permute_rows(rng.permutation(shard.n_rows()));
@@ -591,31 +322,8 @@ data::Table GtvTrainer::sample(std::size_t rows) {
 
 serve::Checkpoint GtvTrainer::make_checkpoint(std::uint64_t model_hash) {
   serve::Checkpoint ckpt;
+  drive([&] { ckpt = driver_->collect_checkpoint(history_.size()); });
   ckpt.model_hash = model_hash;
-  ckpt.seed = seed_;
-  ckpt.rounds = history_.size();
-  ckpt.noise_dim = options_.gan.noise_dim;
-  ckpt.gumbel_tau = options_.gan.gumbel_tau;
-
-  const auto& infos = server_->client_info();
-  std::size_t g_total = 0;
-  for (const auto& info : infos) g_total += info.g_slice_width;
-  const serve::NetArch top_arch{options_.gan.noise_dim + server_->total_cv_width(),
-                                options_.generator_hidden, options_.partition.g_top,
-                                g_total};
-  ckpt.g_top = serve::snapshot_net(top_arch, server_->generator_top());
-
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    GtvClient& client = *clients_[i];
-    serve::ClientPart part;
-    part.cv_width = client.cv_width();
-    part.g_slice_width = infos[i].g_slice_width;
-    const serve::NetArch arch{infos[i].g_slice_width, infos[i].g_slice_width,
-                              options_.partition.g_bottom, client.encoded_width()};
-    part.g_bottom = serve::snapshot_net(arch, client.generator_bottom());
-    part.encoder = client.encoder();
-    ckpt.clients.push_back(std::move(part));
-  }
   return ckpt;
 }
 
@@ -623,40 +331,14 @@ void GtvTrainer::save_checkpoint(const std::string& path, std::uint64_t model_ha
   serve::save_checkpoint(make_checkpoint(model_hash), path);
 }
 
-serve::TrainCheckpoint GtvTrainer::make_train_checkpoint() const {
+serve::TrainCheckpoint GtvTrainer::make_train_checkpoint() {
   serve::TrainCheckpoint ckpt;
-  ckpt.seed = seed_;
-  ckpt.round = history_.size();
-  ckpt.shuffle_stream = shuffle_stream_.state();
-  ckpt.publish_stream = publish_stream_.state();
-  ckpt.history = history_;
-  ckpt.server = capture_server_train_state(*server_);
-  for (const auto& client : clients_) {
-    ckpt.clients.push_back(capture_client_train_state(*client));
-  }
+  drive([&] { ckpt = driver_->collect_train_checkpoint(history_); });
   return ckpt;
 }
 
 void GtvTrainer::restore_train_state(const serve::TrainCheckpoint& ckpt) {
-  if (ckpt.seed != seed_) {
-    throw serve::CheckpointError("restore_train_state: checkpoint seed " +
-                                 std::to_string(ckpt.seed) + " != trainer seed " +
-                                 std::to_string(seed_));
-  }
-  if (ckpt.clients.size() != clients_.size()) {
-    throw serve::CheckpointError("restore_train_state: checkpoint has " +
-                                 std::to_string(ckpt.clients.size()) + " clients, trainer " +
-                                 std::to_string(clients_.size()));
-  }
-  if (ckpt.history.size() != ckpt.round) {
-    throw serve::CheckpointError("restore_train_state: history/round mismatch");
-  }
-  restore_server_train_state(*server_, ckpt.server);
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    restore_client_train_state(*clients_[i], ckpt.clients[i]);
-  }
-  shuffle_stream_.set_state(ckpt.shuffle_stream);
-  publish_stream_.set_state(ckpt.publish_stream);
+  drive([&] { driver_->restore(ckpt); });
   history_ = ckpt.history;
   // Keep telemetry_ parallel to history_ (train_round indexes rounds by
   // telemetry_.size()). Pre-crash phase timings are gone; the skeleton
@@ -673,7 +355,7 @@ void GtvTrainer::restore_train_state(const serve::TrainCheckpoint& ckpt) {
   }
 }
 
-void GtvTrainer::save_train_checkpoint(const std::string& path) const {
+void GtvTrainer::save_train_checkpoint(const std::string& path) {
   serve::save_train_checkpoint(make_train_checkpoint(), path);
 }
 
@@ -682,7 +364,13 @@ void GtvTrainer::restore_train_state(const std::string& path) {
 }
 
 ServerInferenceAttack::Evaluation GtvTrainer::attack_evaluation() const {
-  return attack_.evaluate(initial_joined_);
+  return attack().evaluate(initial_joined_);
+}
+
+const PeerSelectionFrequencyAttack& GtvTrainer::peer_attack() const {
+  peer_attack_ = PeerSelectionFrequencyAttack{};
+  for (const auto& node : clients_) peer_attack_.merge(node->peer_attack());
+  return peer_attack_;
 }
 
 PeerSelectionFrequencyAttack::Evaluation GtvTrainer::peer_attack_evaluation(
@@ -695,7 +383,7 @@ PeerSelectionFrequencyAttack::Evaluation GtvTrainer::peer_attack_evaluation(
   for (double v : initial_joined_.column(joined_column)) {
     categories.push_back(static_cast<std::size_t>(v));
   }
-  return peer_attack_.evaluate(categories);
+  return peer_attack().evaluate(categories);
 }
 
 }  // namespace gtv::core

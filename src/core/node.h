@@ -1,28 +1,22 @@
-// Multi-process GTV: one party per OS process.
+// The three roles of Algorithm 1 — the only implementation of the
+// protocol. A ServerNode owns the GtvServer, each ClientNode one GtvClient,
+// and a DriverNode plays the round loop (scheduling, the clients' secret
+// shuffle stream, loss collection). All cross-party values travel through
+// a TrafficMeter over a caller-supplied Transport. tools/gtv-node runs each
+// role as an OS process over TCP; GtvTrainer (core/gtv.h) runs the server
+// and clients on party threads, its caller's thread as the driver.
 //
-// GtvTrainer runs Algorithm 1 with every party in one address space, the
-// TrafficMeter looping each transfer back in-process. The node classes here
-// split that same algorithm across real processes: a ServerNode owns the
-// GtvServer, each ClientNode owns one GtvClient, and a DriverNode plays the
-// trainer loop (round scheduling, the clients' secret shuffle stream, loss
-// collection). All cross-party values travel through each node's
-// TrafficMeter over a caller-supplied Transport — TCP for separate
-// processes (tools/gtv-node), or loopback/chaos in tests.
-//
-// Loss parity: every party executes the exact op-and-RNG sequence its in-
-// process counterpart executes inside GtvTrainer::critic_step /
-// generator_step, so a distributed run reproduces the in-process losses
-// bit-for-bit given the same seed. That only holds for configurations whose
-// computation is already cleanly partitioned by party —
-// NodeConfig::validate() rejects the simulation-only modes (exact gradient
-// penalty, peer-to-peer index sharing) whose RNG or autograd state crosses
-// the party boundary. DP noise is fine: each client draws from its own
-// dp stream (GtvClient::privatize), so inproc and TCP trajectories agree.
+// Every party owns its RNG streams (party_seeds), so the losses depend on
+// the seed and config only — not on the transport or thread scheduling.
+// P2P index sharing needs client<->client links, which GtvTrainer has and
+// gtv-node's TCP star does not.
 //
 // Control plane: the driver broadcasts one command frame per step
 // ("driver->server", "driver->client<k>"); within a step the server tells
-// the clients which one was selected as the CV contributor; the server
-// reports per-step losses to the driver ("server->driver").
+// the clients which one was selected as the CV contributor and reports the
+// step's losses to the driver ("server->driver"). The server's steps are
+// the round's critical path, so the server times the paper's phases
+// (gtv.phase.*_ms histograms, trace spans, tensor-memory peaks).
 //
 // Elastic federation: with set_train_checkpoint the driver periodically
 // runs a kCmdCheckpointTrain barrier — every party ships its training
@@ -40,28 +34,27 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "core/attack.h"
 #include "core/client.h"
 #include "core/options.h"
 #include "core/server.h"
 #include "gan/ctabgan.h"
 #include "net/wire.h"
 #include "obs/snapshot.h"
+#include "obs/telemetry.h"
 #include "serve/checkpoint.h"
 
 namespace gtv::core {
 
-// Step commands broadcast by the driver. Encoded as an index vector
-// {code, arg}: batch size for the step commands, the round's secret
-// shuffle seed for kShuffle (sent to clients only — the server must never
-// see it, same as in-process). kCmdCheckpoint asks every party to encode
-// its serve::Checkpoint part and ship it to the driver, which assembles
-// the container without ever seeing raw data. kCmdCheckpointTrain does the
-// same for the *training* state (GTVT), and kCmdRestore pushes a saved
-// training state back down: {code, completed-round}, followed by the
-// party's encoded train part on the same command link; the party resets
-// its data-plane links, restores, and acks {kCmdRestore} to the driver.
+// Step commands broadcast by the driver as {code, arg}: batch size for the
+// steps, the round's secret shuffle seed for kShuffle (clients only).
+// kCmdCheckpoint / kCmdCheckpointTrain make every party ship its serving /
+// training part to the driver, which assembles the container without
+// seeing raw data. kCmdRestore {code, round} is followed by the party's
+// train part; the party resets its data links, restores, and acks.
 enum NodeCommand : std::size_t {
   kCmdCriticStep = 1,
   kCmdGeneratorStep = 2,
@@ -75,44 +68,74 @@ enum NodeCommand : std::size_t {
 struct NodeConfig {
   GtvOptions options;
   std::size_t n_clients = 2;
-  std::size_t rounds = 3;
+  std::size_t rounds = 3;  // DriverNode::run()'s schedule; GtvTrainer leaves 0
   std::uint64_t seed = 7;
-  // Rows in the (row-aligned) training shards; the driver derives the batch
-  // size from it exactly like GtvTrainer::train_round does.
-  std::size_t train_rows = 0;
+  std::size_t train_rows = 0;  // rows per shard; the batch is capped by it
 
-  // Throws std::invalid_argument for configurations that cannot be
-  // partitioned by party (see file comment).
+  // Throws std::invalid_argument when exact_gradient_penalty is set (see
+  // GtvOptions) or a count is 0.
   void validate() const;
 };
 
-// Seeds per party, drawn in GtvTrainer's construction order (clients in
-// index order, then the server) so every process agrees without talking.
+// Seeds per party: clients in index order, then the server, so every
+// process agrees without talking.
 std::vector<std::uint64_t> party_seeds(std::uint64_t seed, std::size_t n_clients);
 
-class ServerNode {
+// What the roles share: the TrafficMeter their frames are charged to (their
+// own, or one an in-process fleet passes in and keeps alive), the live
+// status hook, and the elastic switch of the server and clients.
+class NodeRole {
  public:
-  // `g_widths` / `d_widths` are the per-client split widths, computed from
-  // the public feature counts (core::proportional_widths) — every process
-  // derives them identically from the dataset spec.
-  ServerNode(NodeConfig config, std::vector<std::size_t> g_widths,
-             std::vector<std::size_t> d_widths);
+  NodeRole(const NodeRole&) = delete;
+  NodeRole& operator=(const NodeRole&) = delete;
 
   void set_transport(std::shared_ptr<net::Transport> transport) {
     meter_.set_transport(std::move(transport));
   }
   net::TrafficMeter& traffic() { return meter_; }
-
   // Optional telemetry hook (must outlive the node): round/phase/loss
-  // progress is mirrored into `status` with relaxed atomic stores at step
-  // boundaries, so a SnapshotPublisher can watch the run without touching
-  // the training path.
+  // progress is mirrored into `status` with relaxed atomic stores.
   void set_live_status(obs::agg::LiveStatus* status) { status_ = status; }
-
-  // Elastic mode: a TransportError during a step parks the round (drops
-  // split state, pokes blocked peers, returns to the command loop) instead
-  // of crashing, so the driver can replay from the last train checkpoint.
+  // Server and clients: a TransportError during a step parks the round
+  // (drops split state, returns to the command loop) instead of crashing,
+  // so the driver can replay from the last train checkpoint.
   void set_elastic(bool elastic) { elastic_ = elastic; }
+
+ protected:
+  explicit NodeRole(net::TrafficMeter* shared_meter)
+      : meter_(shared_meter != nullptr ? *shared_meter : own_meter_) {}
+  ~NodeRole() = default;
+  void set_phase(obs::agg::Phase phase) {
+    if (status_ != nullptr) status_->set_phase(phase);
+  }
+
+  net::TrafficMeter own_meter_;
+  net::TrafficMeter& meter_;
+  obs::agg::LiveStatus* status_ = nullptr;
+  bool elastic_ = false;
+};
+
+class ServerNode : public NodeRole {
+ public:
+  // `g_widths` / `d_widths` are the per-client split widths, computed from
+  // the public feature counts (core::proportional_widths) — every process
+  // derives them identically from the dataset spec.
+  ServerNode(NodeConfig config, std::vector<std::size_t> g_widths,
+             std::vector<std::size_t> d_widths, net::TrafficMeter* shared_meter = nullptr);
+
+  // Semi-honest server curiosity (evaluation): given the meaning of every
+  // global CV bit, the server records each (selected rows, global CV) pair
+  // it legitimately observes. Without a layout nothing is recorded.
+  void set_attack_layout(std::vector<ServerInferenceAttack::CvBit> bits);
+  const ServerInferenceAttack& attack() const { return attack_; }
+
+  // The GtvServer, built by run() when the setup handshake completes.
+  GtvServer& server() { return *server_; }
+
+  // Phase durations and tensor-memory peaks of the steps served since the
+  // last call; `mem_peak_bytes.total` is the largest phase peak. The driver
+  // fills in the rest of the round's record.
+  obs::RoundTelemetry take_phases();
 
   // Performs the setup handshake (clients report their CV widths), then
   // serves driver commands until kCmdFinish.
@@ -128,36 +151,32 @@ class ServerNode {
   // kCmdRestore: reset data links, receive + apply this party's train part,
   // ack the driver.
   void restore_train();
-  std::string link_up(std::size_t client) const;
-  std::string link_down(std::size_t client) const;
 
   NodeConfig config_;
   std::vector<std::size_t> g_widths_;
   std::vector<std::size_t> d_widths_;
   std::unique_ptr<GtvServer> server_;
-  net::TrafficMeter meter_;
-  obs::agg::LiveStatus* status_ = nullptr;
-  bool elastic_ = false;
+  ServerInferenceAttack attack_;
+  bool curious_ = false;  // a CV-bit layout was given
+  obs::RoundTelemetry phases_;
 };
 
-class ClientNode {
+class ClientNode : public NodeRole {
  public:
   ClientNode(NodeConfig config, std::size_t id, data::Table local_table,
-             std::size_t g_width, std::size_t d_width);
+             std::size_t g_width, std::size_t d_width,
+             net::TrafficMeter* shared_meter = nullptr);
 
-  void set_transport(std::shared_ptr<net::Transport> transport) {
-    meter_.set_transport(std::move(transport));
-  }
-  net::TrafficMeter& traffic() { return meter_; }
-
-  // Telemetry hook; see ServerNode::set_live_status.
-  void set_live_status(obs::agg::LiveStatus* status) { status_ = status; }
-
-  // Elastic mode; see ServerNode::set_elastic.
-  void set_elastic(bool elastic) { elastic_ = elastic; }
   // Rejoin after a crash: skip the setup CV-width report (the surviving
   // server already holds it) and wait for the driver's kCmdRestore.
   void set_rejoin(bool rejoin) { rejoin_ = rejoin; }
+
+  GtvClient& client() { return *client_; }
+  // Milliseconds spent shuffling since the last call.
+  double take_shuffle_ms() { return std::exchange(shuffle_ms_, 0.0); }
+  // Peer-to-peer index sharing: the co-selections this client observed as
+  // a receiving peer (empty under IndexSharing::kServer).
+  const PeerSelectionFrequencyAttack& peer_attack() const { return peer_attack_; }
 
   // Reports this client's CV width to the server, then serves driver
   // commands until kCmdFinish.
@@ -167,30 +186,19 @@ class ClientNode {
   void critic_step(std::size_t batch);
   void generator_step(std::size_t batch);
   void restore_train();
-  std::string link_up() const;    // client<id> -> server
-  std::string link_down() const;  // server -> client<id>
 
   NodeConfig config_;
   std::size_t id_;
   std::size_t g_width_ = 0;  // this client's split-generator slice width
   std::unique_ptr<GtvClient> client_;
-  net::TrafficMeter meter_;
-  obs::agg::LiveStatus* status_ = nullptr;
-  bool elastic_ = false;
   bool rejoin_ = false;
+  double shuffle_ms_ = 0.0;
+  PeerSelectionFrequencyAttack peer_attack_;
 };
 
-class DriverNode {
+class DriverNode : public NodeRole {
  public:
-  explicit DriverNode(NodeConfig config);
-
-  void set_transport(std::shared_ptr<net::Transport> transport) {
-    meter_.set_transport(std::move(transport));
-  }
-  net::TrafficMeter& traffic() { return meter_; }
-
-  // Telemetry hook; see ServerNode::set_live_status.
-  void set_live_status(obs::agg::LiveStatus* status) { status_ = status; }
+  explicit DriverNode(NodeConfig config, net::TrafficMeter* shared_meter = nullptr);
 
   // After training, collect every party's checkpoint part and write the
   // assembled serve::Checkpoint container here. The stamped model_hash is
@@ -214,33 +222,40 @@ class DriverNode {
   // Successful crash recoveries performed during run().
   std::size_t recoveries() const { return recoveries_; }
 
-  // Runs the full schedule (rounds x (d_steps x critic + generator +
-  // shuffle)), then collects the checkpoint (when requested) and
-  // broadcasts kCmdFinish. Returns one RoundLosses per round,
-  // field-for-field what GtvTrainer::train_round returns.
+  // Runs config.rounds rounds (with the barriers and recovery requested
+  // above), the checkpoint if requested, then kCmdFinish. Returns one
+  // RoundLosses per round.
   std::vector<gan::RoundLosses> run();
+
+  // --- the exchanges run() is made of; GtvTrainer calls them directly ---
+  // d_steps critic steps, the generator step, then the clients' shuffle.
+  gan::RoundLosses train_round();
+  // kCmdCheckpoint: the assembled, unstamped serving container.
+  serve::Checkpoint collect_checkpoint(std::size_t rounds_completed);
+  // kCmdCheckpointTrain: every party's part plus the driver's streams.
+  serve::TrainCheckpoint collect_train_checkpoint(const std::vector<gan::RoundLosses>& history);
+  // kCmdRestore: pushes the parts, awaits the acks, restores the driver's
+  // streams. Throws CheckpointError, before sending anything, when the
+  // seed or party count differ or the history disagrees with the round.
+  void restore(const serve::TrainCheckpoint& checkpoint);
+  // kCmdFinish: every party acks and returns from run().
+  void finish();
+  // Publication-shuffle stream (advanced by GtvTrainer's sampling).
+  Rng& publish_stream() { return publish_stream_; }
 
  private:
   void broadcast(NodeCommand code, std::size_t arg, bool include_server);
-  void collect_checkpoint();
-  // kCmdCheckpointTrain barrier: collect every party's train part, stamp in
-  // the driver streams + history, write the GTVT container.
-  void collect_train_checkpoint(const std::vector<gan::RoundLosses>& history);
-  // kCmdRestore barrier: push last_train_ckpt_ to every party, wait for
-  // acks, restore the driver's own streams. Returns the restored history.
-  std::vector<gan::RoundLosses> distribute_restore();
   // Crash recovery: identify dead peers, wait for their --rejoin relaunch,
-  // reset their links, then distribute_restore().
+  // reset their links, then restore the last train checkpoint. Returns its
+  // history.
   std::vector<gan::RoundLosses> recover();
   // Reads index frames off `link` until one equals {kCmdRestore}, skipping
   // frames left over from the aborted round (stale losses, park poison).
-  void await_restore_ack(const std::string& link);
+  void await_restore_ack(const std::string& ack_link);
 
   NodeConfig config_;
   Rng shuffle_stream_;
-  Rng publish_stream_;  // mirror of GtvTrainer's (only advanced by sampling)
-  net::TrafficMeter meter_;
-  obs::agg::LiveStatus* status_ = nullptr;
+  Rng publish_stream_;
   std::string checkpoint_out_;
   std::uint64_t checkpoint_hash_ = 0;
   std::string train_ckpt_path_;

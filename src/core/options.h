@@ -38,11 +38,16 @@ struct GtvOptions {
   // The training-with-shuffling defence (§3.1.5). Disabling it reproduces
   // the Fig. 5 reconstruction attack.
   bool training_with_shuffling = true;
-  // Exact WGAN-GP through the whole distributed critic (cross-party
-  // double-backprop, available because all parties run in-process; a real
-  // deployment would need the split double-backprop protocol). When false,
-  // the penalty is applied on the server to D^t's concatenated input only.
-  bool exact_gradient_penalty = true;
+  // Removed; must stay false. The gradient penalty is applied by the server
+  // to D^t's concatenated input logits, the only penalty no party needs
+  // another party's autograd graph for. The exact penalty through every
+  // bottom model needed all parties in one address space, and a 10-seed
+  // ablation found no quality difference beyond noise (EXPERIMENTS.md), so
+  // it was deleted rather than built as a split double-backprop protocol.
+  // The member remains so existing option-setting code keeps compiling;
+  // NodeConfig::validate() (and so GtvTrainer) rejects true with
+  // std::invalid_argument.
+  bool exact_gradient_penalty = false;
   // How idx_p is distributed (see IndexSharing).
   IndexSharing index_sharing = IndexSharing::kServer;
   // Optional local-DP-style Gaussian noise added by clients to every

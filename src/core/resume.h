@@ -3,10 +3,9 @@
 // These free functions are the single definition of "one party's training
 // state": module weights (parameters AND buffers, nn::snapshot_state
 // order), Adam moments and step counters, and RNG stream positions —
-// including each client's DP noise stream and current row order. Both the
-// inproc GtvTrainer (make_train_checkpoint / restore_train_state) and the
-// distributed node roles (kCmdCheckpointTrain / --resume) go through them,
-// so the two deployments cannot drift apart in what they persist.
+// including each client's DP noise stream and current row order. The node
+// roles apply them at the kCmdCheckpointTrain and kCmdRestore barriers,
+// whether gtv-node or GtvTrainer runs them.
 //
 // Restore validates everything (module shapes via nn::restore_state, Adam
 // shapes via Adam::set_state, row-order bounds via restore_row_order)

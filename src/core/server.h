@@ -33,7 +33,6 @@ class GtvServer {
   std::size_t n_clients() const { return clients_.size(); }
   std::size_t total_cv_width() const { return total_cv_; }
   const std::vector<double>& ratio() const { return ratio_; }
-  const std::vector<ClientInfo>& client_info() const { return clients_; }
 
   // CVGeneration: pick the contributing client p ~ P_r.
   std::size_t select_cv_client();
@@ -66,7 +65,6 @@ class GtvServer {
   nn::Adam& adam_generator() { return *adam_g_; }
   nn::Adam& adam_discriminator() { return *adam_d_; }
 
-  std::size_t noise_dim() const { return options_.gan.noise_dim; }
   Rng& rng() { return rng_; }
   // Top generator module, exposed for checkpointing (serve::snapshot_net).
   nn::Module& generator_top() { return *g_top_; }

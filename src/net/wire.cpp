@@ -141,17 +141,20 @@ std::vector<std::size_t> deserialize_indices(const std::vector<std::uint8_t>& by
 
 // --- TrafficMeter ----------------------------------------------------------------
 
-Transport& TrafficMeter::transport() {
+std::shared_ptr<Transport> TrafficMeter::shared_transport() {
+  std::lock_guard<std::mutex> lock(mu_);
   if (!transport_) transport_ = std::make_shared<InProcTransport>();
-  return *transport_;
+  return transport_;
 }
 
 void TrafficMeter::set_transport(std::shared_ptr<Transport> transport) {
   if (!transport) throw TransportError("meter: null transport");
+  std::lock_guard<std::mutex> lock(mu_);
   transport_ = std::move(transport);
 }
 
 void TrafficMeter::charge(const std::string& link, std::size_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto& stats = links_[link];
   stats.bytes += bytes;
   stats.messages += 1;
@@ -167,7 +170,10 @@ void TrafficMeter::charge(const std::string& link, std::size_t bytes) {
 
 void TrafficMeter::note_fault(const std::string& link, const char* what,
                               std::uint64_t LinkStats::*field) {
-  links_[link].*field += 1;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    links_[link].*field += 1;
+  }
   // Faults are rare; building the metric name inline keeps the clean path
   // free of these counters entirely (they only exist once observed).
   obs::MetricsRegistry::instance().counter("net." + link + "." + what).add();
@@ -180,6 +186,7 @@ void TrafficMeter::note_fault(const std::string& link, const char* what,
 }
 
 void TrafficMeter::record_timing(const std::string& link, const char* half, double ms) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto& counters = counters_[link];
   obs::Histogram*& slot =
       std::strcmp(half, "send_ms") == 0 ? counters.send_ms : counters.recv_ms;
@@ -189,23 +196,30 @@ void TrafficMeter::record_timing(const std::string& link, const char* half, doub
   slot->record(ms);
 }
 
-TrafficMeter::FlowInfo& TrafficMeter::flow_info(const std::string& link) {
+const TrafficMeter::FlowInfo& TrafficMeter::next_flow(const std::string& link, bool send,
+                                                      std::uint64_t* id) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = flows_.find(link);
-  if (it != flows_.end()) return it->second;
-  FlowInfo info;
-  const std::size_t arrow = link.find("->");
-  if (arrow != std::string::npos) {
-    info.from_pid = endpoint_pid(link.substr(0, arrow));
-    info.to_pid = endpoint_pid(link.substr(arrow + 2));
-  } else {
-    info.from_pid = info.to_pid = obs::kDriverPid;
+  if (it == flows_.end()) {
+    FlowInfo info;
+    const std::size_t arrow = link.find("->");
+    if (arrow != std::string::npos) {
+      info.from_pid = endpoint_pid(link.substr(0, arrow));
+      info.to_pid = endpoint_pid(link.substr(arrow + 2));
+    } else {
+      info.from_pid = info.to_pid = obs::kDriverPid;
+    }
+    // Deterministic flow-id namespace for this link. Kept under 2^52 (32
+    // hash bits + 20 ordinal bits) so ids survive JSON number (double)
+    // round-trips.
+    info.flow_base = (fnv1a64(link) & 0xFFFFFFFFULL) << 20;
+    info.send_label = "send " + link;
+    info.recv_label = "recv " + link;
+    it = flows_.emplace(link, std::move(info)).first;
   }
-  // Deterministic flow-id namespace for this link. Kept under 2^52 (32 hash
-  // bits + 20 ordinal bits) so ids survive JSON number (double) round-trips.
-  info.flow_base = (fnv1a64(link) & 0xFFFFFFFFULL) << 20;
-  info.send_label = "send " + link;
-  info.recv_label = "recv " + link;
-  return flows_.emplace(link, std::move(info)).first->second;
+  std::uint64_t& ordinal = send ? it->second.sends : it->second.recvs;
+  *id = it->second.flow_base | (ordinal++ & 0xFFFFFULL);
+  return it->second;
 }
 
 void TrafficMeter::emit_transfer_trace(const FlowInfo& info, std::uint64_t flow_id,
@@ -290,8 +304,8 @@ Tensor TrafficMeter::transfer(const std::string& link, const Tensor& t) {
   }
   Tensor out = deserialize_tensor(back);
   if (traced) {
-    FlowInfo& info = flow_info(link);
-    const std::uint64_t id = info.flow_base | (info.ordinal++ & 0xFFFFFULL);
+    std::uint64_t id = 0;
+    const FlowInfo& info = next_flow(link, /*send=*/true, &id);
     emit_transfer_trace(info, id, t0, t1, obs::TraceSink::now_us());
   }
   if (timed) record_timing(link, "recv_ms", ms_since(c1));
@@ -316,8 +330,8 @@ std::vector<std::size_t> TrafficMeter::transfer(const std::string& link,
   }
   auto out = deserialize_indices(back);
   if (traced) {
-    FlowInfo& info = flow_info(link);
-    const std::uint64_t id = info.flow_base | (info.ordinal++ & 0xFFFFFULL);
+    std::uint64_t id = 0;
+    const FlowInfo& info = next_flow(link, /*send=*/true, &id);
     emit_transfer_trace(info, id, t0, t1, obs::TraceSink::now_us());
   }
   if (timed) record_timing(link, "recv_ms", ms_since(c1));
@@ -335,8 +349,8 @@ void TrafficMeter::send_payload(const std::string& link,
   transport().send(link, bytes);
   if (timed) record_timing(link, "send_ms", ms_since(c0));
   if (traced) {
-    FlowInfo& info = flow_info(link);
-    const std::uint64_t id = info.flow_base | (info.ordinal++ & 0xFFFFFULL);
+    std::uint64_t id = 0;
+    const FlowInfo& info = next_flow(link, /*send=*/true, &id);
     const std::uint64_t t1 = obs::TraceSink::now_us();
     obs::TraceSink& sink = obs::TraceSink::instance();
     obs::PartyScope sender(info.from_pid);
@@ -354,8 +368,8 @@ std::vector<std::uint8_t> TrafficMeter::recv_payload(const std::string& link) {
   auto bytes = recv_with_retry(link);
   if (timed) record_timing(link, "recv_ms", ms_since(c0));
   if (traced) {
-    FlowInfo& info = flow_info(link);
-    const std::uint64_t id = info.flow_base | (info.ordinal++ & 0xFFFFFULL);
+    std::uint64_t id = 0;
+    const FlowInfo& info = next_flow(link, /*send=*/false, &id);
     const std::uint64_t t1 = obs::TraceSink::now_us();
     obs::TraceSink& sink = obs::TraceSink::instance();
     obs::PartyScope receiver(info.to_pid);
@@ -382,13 +396,19 @@ std::vector<std::size_t> TrafficMeter::recv_indices(const std::string& link) {
   return deserialize_indices(recv_payload(link));
 }
 
-const LinkStats& TrafficMeter::stats(const std::string& link) const {
-  static const LinkStats kEmpty;
+LinkStats TrafficMeter::stats(const std::string& link) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = links_.find(link);
-  return it == links_.end() ? kEmpty : it->second;
+  return it == links_.end() ? LinkStats{} : it->second;
+}
+
+std::map<std::string, LinkStats> TrafficMeter::all() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return links_;
 }
 
 LinkStats TrafficMeter::total() const {
+  std::lock_guard<std::mutex> lock(mu_);
   LinkStats total;
   for (const auto& [name, stats] : links_) {
     total.bytes += stats.bytes;
@@ -400,6 +420,9 @@ LinkStats TrafficMeter::total() const {
   return total;
 }
 
-void TrafficMeter::reset() { links_.clear(); }
+void TrafficMeter::reset() {
+  std::lock_guard<std::mutex> lock(mu_);
+  links_.clear();
+}
 
 }  // namespace gtv::net

@@ -15,12 +15,17 @@
 // between OS processes (net/tcp.h) via the split send_*/recv_* endpoints,
 // and tolerates injected faults (net/chaos.h) through a bounded
 // retransmit/backoff loop.
+//
+// One meter may carry several party threads at once (GtvTrainer's
+// in-process fleet charges every role to one meter): its accounting is
+// guarded by a mutex, and the transport calls run outside it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -78,13 +83,14 @@ struct RetryPolicy {
 // "send <link>" span on the sending party's trace row, a "recv <link>"
 // span on the receiving party's row, and a flow-event pair (ph:"s"/"f").
 // Flow ids are *deterministic* — hash(link) in the high bits, the link's
-// message ordinal in the low 20 — so the send half emitted by one OS
-// process pairs with the recv half emitted by another when their trace
-// files are merged (gtv-prof --trace a.jsonl --trace b.jsonl). Ids stay
-// below 2^53 so JSON double parsing cannot lose precision. Party pids are
-// parsed from the link name ("server" = 0, "clientK" = K + 1) and cached
-// per link alongside the counter handles, so the traced hot path does no
-// string building.
+// send ordinal (send half) or receive ordinal (recv half) in the low 20 —
+// so the n-th send pairs with the n-th receive whether the two halves are
+// emitted by one meter or by two OS processes whose trace files are merged
+// (gtv-prof --trace a.jsonl --trace b.jsonl). Ids stay below 2^53 so JSON
+// double parsing cannot lose precision. Party pids are parsed from the
+// link name ("server" = 0, "clientK" = K + 1) and cached per link
+// alongside the counter handles, so the traced hot path does no string
+// building.
 class TrafficMeter {
  public:
   // Loopback round-trip: sends `t` over `link` and immediately receives it
@@ -111,14 +117,17 @@ class TrafficMeter {
 
   // The transport carrying this meter's frames. Defaults to a private
   // InProcTransport, created lazily on first use.
-  Transport& transport();
+  Transport& transport() { return *shared_transport(); }
+  std::shared_ptr<Transport> shared_transport();
   void set_transport(std::shared_ptr<Transport> transport);
+  // Set before the parties start; read unlocked on every receive.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_; }
 
-  const LinkStats& stats(const std::string& link) const;
+  // Snapshots, safe while other threads send and receive.
+  LinkStats stats(const std::string& link) const;
   LinkStats total() const;
-  const std::map<std::string, LinkStats>& all() const { return links_; }
+  std::map<std::string, LinkStats> all() const;
   // Clears the local per-link stats. Registry counters are cumulative and
   // deliberately unaffected.
   void reset();
@@ -128,7 +137,8 @@ class TrafficMeter {
     int from_pid = 0;
     int to_pid = 0;
     std::uint64_t flow_base = 0;  // hash(link) << 20
-    std::uint64_t ordinal = 0;    // logical messages seen on this link
+    std::uint64_t sends = 0;      // logical messages sent on this link
+    std::uint64_t recvs = 0;      // ... and received on it
     std::string send_label;       // "send <link>"
     std::string recv_label;       // "recv <link>"
   };
@@ -136,7 +146,10 @@ class TrafficMeter {
   // Charges `bytes` + one message to the link, locally and in the registry.
   void charge(const std::string& link, std::size_t bytes);
   void note_fault(const std::string& link, const char* what, std::uint64_t LinkStats::*field);
-  FlowInfo& flow_info(const std::string& link);
+  // Claims the link's next send (or receive) flow id. The record stays
+  // valid after the lock drops: links are never erased from flows_, and
+  // everything but the ordinals is fixed at creation.
+  const FlowInfo& next_flow(const std::string& link, bool send, std::uint64_t* id);
   // Emits the send/recv spans + flow pair for one transfer whose serialize
   // phase was [t0, t1) and deserialize phase [t1, t2).
   void emit_transfer_trace(const FlowInfo& info, std::uint64_t flow_id,
@@ -153,6 +166,7 @@ class TrafficMeter {
     obs::Histogram* send_ms = nullptr;  // resolved only when timing is on
     obs::Histogram* recv_ms = nullptr;
   };
+  mutable std::mutex mu_;  // guards transport_, links_, counters_ and flows_
   std::shared_ptr<Transport> transport_;
   RetryPolicy retry_;
   std::map<std::string, LinkStats> links_;

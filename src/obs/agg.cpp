@@ -216,12 +216,14 @@ std::uint16_t Collector::listen(std::uint16_t port) {
 void Collector::stop() {
   stopping_.store(true);
   if (ingest_thread_.joinable()) ingest_thread_.join();
+  // Join before closing: the HTTP loop polls http_fd_ (its poll times out
+  // within 200 ms), and a descriptor closed under it could be reused by a
+  // new socket that the old loop would then accept on.
+  if (http_thread_.joinable()) http_thread_.join();
   if (http_fd_ >= 0) {
-    ::shutdown(http_fd_, SHUT_RDWR);
     ::close(http_fd_);
     http_fd_ = -1;
   }
-  if (http_thread_.joinable()) http_thread_.join();
   transport_.reset();
 }
 

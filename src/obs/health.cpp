@@ -389,4 +389,38 @@ double jensen_shannon(const std::vector<double>& p, const std::vector<double>& q
   return std::clamp(div, 0.0, 1.0);
 }
 
+ColumnProbe probe_column(std::string name, const std::vector<double>& real,
+                         const std::vector<double>& fake, std::size_t categories) {
+  ColumnProbe probe;
+  probe.column = std::move(name);
+  if (categories > 0) {
+    const auto frequencies = [categories](const std::vector<double>& col) {
+      std::vector<double> freq(categories, 0.0);
+      for (const double v : col) {
+        const auto k = static_cast<std::size_t>(v);
+        if (k < categories) freq[k] += 1.0;
+      }
+      return freq;
+    };
+    probe.jsd = jensen_shannon(frequencies(real), frequencies(fake));
+    return probe;
+  }
+  const auto moments = [](const std::vector<double>& col) {
+    double sum = 0.0, sq = 0.0;
+    for (const double v : col) {
+      sum += v;
+      sq += v * v;
+    }
+    const double inv = col.empty() ? 0.0 : 1.0 / static_cast<double>(col.size());
+    const double mean = sum * inv;
+    return std::pair<double, double>{mean, std::sqrt(std::max(0.0, sq * inv - mean * mean))};
+  };
+  const auto [real_mean, real_std] = moments(real);
+  const auto [fake_mean, fake_std] = moments(fake);
+  const double scale = std::max(real_std, 1e-6);
+  probe.mean_drift = (fake_mean - real_mean) / scale;
+  probe.std_drift = (fake_std - real_std) / scale;
+  return probe;
+}
+
 }  // namespace gtv::obs

@@ -220,4 +220,11 @@ void write_health_json(const std::string& path);
 // unit-tested directly (identical marginals => 0, disjoint => 1).
 double jensen_shannon(const std::vector<double>& p, const std::vector<double>& q);
 
+// One sample-quality probe: a generated column against the real one. With
+// `categories` > 0 the values are category indices and the probe is the
+// JSD of their frequencies; otherwise it is the mean and standard-deviation
+// drift in units of the real column's deviation.
+ColumnProbe probe_column(std::string name, const std::vector<double>& real,
+                         const std::vector<double>& fake, std::size_t categories);
+
 }  // namespace gtv::obs

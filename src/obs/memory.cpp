@@ -1,5 +1,9 @@
 #include "obs/memory.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <atomic>
 
 #include "obs/metrics.h"
@@ -7,6 +11,19 @@
 namespace gtv::obs {
 
 namespace {
+
+// glibc gives every thread that allocates its own malloc arena, and each
+// arena keeps its freed tensor buffers cached. Pool workers, party threads
+// and serve handlers all allocate tensors, so per-thread arenas multiply
+// the resident set without making anything faster. One process-wide arena,
+// capped before main() runs and any thread exists.
+struct SingleMallocArena {
+  SingleMallocArena() {
+#if defined(__GLIBC__)
+    mallopt(M_ARENA_MAX, 1);
+#endif
+  }
+} g_single_malloc_arena;
 
 // Active MemPeakScope watermarks. Scopes claim slots stack-wise; every
 // allocation CAS-maxes the new live value into all active slots. Depth is

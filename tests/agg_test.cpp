@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -290,6 +291,39 @@ TEST(CollectorHttpTest, ServesMetricsStatusAndHealthz) {
   std::string not_found_status;
   http_get(port, "/nope", &not_found_status);
   EXPECT_EQ(not_found_status, "HTTP/1.0 404 Not Found");
+}
+
+// stop() must retire the HTTP loop before closing its socket: a listener
+// opened while (or right after) the Collector stops may be handed the
+// same descriptor number, and then only that listener may accept its own
+// connections — never the old loop, still polling the number.
+TEST(CollectorHttpTest, StopRetiresHttpLoopBeforeClosingItsSocket) {
+  for (int trial = 0; trial < 3; ++trial) {
+    Collector collector;
+    ASSERT_GT(collector.serve_http(0), 0);
+    std::thread stopper([&collector] { collector.stop(); });
+    for (int i = 0; i < 8; ++i) {
+      const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+      ASSERT_GE(listener, 0);
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      socklen_t len = sizeof(addr);
+      ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+      ASSERT_EQ(::listen(listener, 4), 0);
+      ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+      const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+      ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+      pollfd pfd{listener, POLLIN, 0};
+      EXPECT_EQ(::poll(&pfd, 1, 1000), 1) << "trial " << trial << " listener " << i;
+      const int accepted = ::accept(listener, nullptr, nullptr);
+      EXPECT_GE(accepted, 0) << "the connection was accepted elsewhere";
+      if (accepted >= 0) ::close(accepted);
+      ::close(client);
+      ::close(listener);
+    }
+    stopper.join();
+  }
 }
 
 // --- end to end: publishers over TCP ---------------------------------------

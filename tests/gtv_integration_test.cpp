@@ -1,13 +1,18 @@
 // End-to-end tests of the GTV trainer: protocol mechanics, all nine
 // partitions, training-with-shuffling invariants, the reconstruction
-// attack with and without the defence, and secure publication.
+// attack with and without the defence, secure publication, and the
+// lifecycle of the party threads behind it.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "core/gtv.h"
 #include "data/datasets.h"
+#include "obs/health.h"
 
 namespace gtv::core {
 namespace {
@@ -215,17 +220,6 @@ TEST(GtvTrainerTest, PublicationShufflesButKeepsShardsAligned) {
   EXPECT_EQ(joined.n_cols(), 4u);
 }
 
-TEST(GtvTrainerTest, TopOnlyGradientPenaltyModeRuns) {
-  Rng rng(7);
-  auto shards = split_two(two_party_source(60, rng));
-  GtvOptions options = small_options();
-  options.exact_gradient_penalty = false;
-  GtvTrainer trainer(std::move(shards), options, 19);
-  auto losses = trainer.train_round();
-  EXPECT_TRUE(std::isfinite(losses.d_loss));
-  EXPECT_TRUE(std::isfinite(losses.gp));
-}
-
 TEST(GtvTrainerTest, ThreeClientsWithUnevenFeatures) {
   Rng rng(8);
   Table t = data::make_loan(80, rng);
@@ -267,6 +261,102 @@ TEST(GtvTrainerTest, CommunicationGrowsWithRealPassDesign) {
   // Full-table real pass: at least one client transferred >= 100-row logits.
   const std::size_t full_row_bytes = 100 * trainer.client(0).d_out_width() * sizeof(float);
   EXPECT_GT(up0 + up1, full_row_bytes);
+}
+
+// --- party-thread lifecycle ----------------------------------------------------
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+TEST(GtvTrainerLifecycleTest, IdlePartiesNeverTimeOut) {
+  Rng rng(11);
+  GtvTrainer trainer(split_two(two_party_source(60, rng)), small_options(), 37);
+  // Parties wait on their command links between calls. However small the
+  // retry budget, an idle wait must neither expire nor count as a timeout.
+  net::RetryPolicy policy;
+  policy.max_attempts = 2;
+  policy.recv_timeout_ms = 50;
+  policy.backoff_base_ms = 0;
+  trainer.traffic().set_retry_policy(policy);
+  trainer.train(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  trainer.train(1);
+  EXPECT_EQ(trainer.history().size(), 2u);
+  EXPECT_EQ(trainer.traffic().total().timeouts, 0u);
+}
+
+// A party "crashes": after a budget of fetches on one of client1's links,
+// the transport throws a type nothing in the node stack catches.
+struct CrashNow {};
+
+class FuseTransport : public net::Transport {
+ public:
+  FuseTransport(std::shared_ptr<net::Transport> inner, std::string link, int fetch_budget)
+      : inner_(std::move(inner)), link_(std::move(link)), fetches_left_(fetch_budget) {}
+  std::string kind() const override { return "fuse+" + inner_->kind(); }
+  void deliver_frame(const std::string& link, std::vector<std::uint8_t> frame) override {
+    inner_->deliver_frame(link, std::move(frame));
+  }
+  std::vector<std::uint8_t> fetch_frame(const std::string& link, int timeout_ms) override {
+    if (link == link_ && fetches_left_.fetch_sub(1) <= 0) throw CrashNow{};
+    return inner_->fetch_frame(link, timeout_ms);
+  }
+  void discard_queued(const std::string& link) override { inner_->discard_queued(link); }
+
+ private:
+  std::shared_ptr<net::Transport> inner_;
+  std::string link_;
+  std::atomic<int> fetches_left_;
+};
+
+TEST(GtvTrainerLifecycleTest, PartyFailureSurfacesFromTrainRound) {
+  Rng rng(12);
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    GtvTrainer trainer(split_two(two_party_source(60, rng)), small_options(), 41);
+    trainer.traffic().set_transport(std::make_shared<FuseTransport>(
+        std::make_shared<net::InProcTransport>(), "server->client1", 15));
+    EXPECT_THROW(
+        {
+          for (int r = 0; r < 20; ++r) trainer.train_round();
+        },
+        CrashNow);
+    EXPECT_LT(trainer.history().size(), 20u);
+    // The failure sticks: later calls rethrow it instead of hanging.
+    EXPECT_THROW(trainer.train_round(), CrashNow);
+  }
+  EXPECT_LT(seconds_since(t0), 30.0);
+}
+
+TEST(GtvTrainerLifecycleTest, DestructionIsPromptWithoutTrainingAndAfterFatalHealth) {
+  Rng rng(13);
+  const Table source = two_party_source(60, rng);
+  auto t0 = std::chrono::steady_clock::now();
+  { GtvTrainer untouched(split_two(source), small_options(), 43); }
+  EXPECT_LT(seconds_since(t0), 5.0);
+
+  const bool health_was = obs::health_enabled();
+  obs::set_health_enabled(true);
+  GtvOptions options = small_options();
+  options.gan.adam.lr = 100.0f;  // diverges within a few rounds
+  options.health.abort_on_fatal = true;
+  bool fatal = false;
+  {
+    GtvTrainer trainer(split_two(source), options, 43);
+    for (int r = 0; r < 10 && !fatal; ++r) {
+      try {
+        trainer.train_round();
+      } catch (const FatalHealthError&) {
+        fatal = true;
+      }
+    }
+    t0 = std::chrono::steady_clock::now();
+  }
+  EXPECT_LT(seconds_since(t0), 5.0);
+  obs::set_health_enabled(health_was);
+  obs::HealthLog::instance().reset();
+  EXPECT_TRUE(fatal);
 }
 
 }  // namespace

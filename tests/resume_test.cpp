@@ -35,7 +35,6 @@ std::string temp_path(const std::string& name) {
 
 GtvOptions small_options() {
   GtvOptions options;
-  options.exact_gradient_penalty = false;
   options.gan.batch_size = 16;
   options.gan.d_steps_per_round = 1;
   options.gan.hidden = 32;

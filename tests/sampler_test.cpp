@@ -211,13 +211,11 @@ TEST(SamplerTest, TrainingParityWithSamplerOnVsOff) {
     if (prof != nullptr) prof->stop();
     std::vector<std::uint64_t> bits;
     for (const auto& losses : trainer.history()) {
-      std::uint64_t b;
-      std::memcpy(&b, &losses.d_loss, 8);
-      bits.push_back(b);
-      std::memcpy(&b, &losses.g_loss, 8);
-      bits.push_back(b);
-      std::memcpy(&b, &losses.wasserstein, 8);
-      bits.push_back(b);
+      for (const float loss : {losses.d_loss, losses.g_loss, losses.gp, losses.wasserstein}) {
+        std::uint32_t b;
+        std::memcpy(&b, &loss, sizeof(b));
+        bits.push_back(b);
+      }
     }
     bits.push_back(model);
     return bits;

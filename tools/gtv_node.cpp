@@ -14,9 +14,7 @@
 //
 //   gtv-node --role inproc
 //
-// which runs the classic GtvTrainer loop in one process — optionally
-// through a ChaosTransport (--chaos-drop/-dup/-corrupt/-latency-us,
-// --chaos-seed) to exercise the retransmit path.
+// which trains the same roles on threads of one process (GtvTrainer).
 //
 // Rendezvous is on localhost: the server listens on --port, the driver on
 // --driver-port; clients dial both, the driver dials the server. Dials
@@ -65,8 +63,6 @@ struct Args {
   std::string host = "127.0.0.1";
   int port = 47531;
   int driver_port = 47532;
-  net::ChaosOptions chaos;
-  bool chaos_enabled = false;
   // Live telemetry plane (obs::agg). The Collector runs inside the driver
   // process; every party publishes snapshots to it when a port is given.
   int collector_port = 0;          // 0 = telemetry plane disabled
@@ -129,9 +125,7 @@ struct Args {
                "  [--train-ckpt FILE] [--ckpt-every N] [--resume FILE]\n"
                "  [--rejoin-wait-ms N]   (driver)\n"
                "  [--rejoin]   (client)   [--elastic]   [--dp-noise STD]\n"
-               "  [--straggle-us N]   (tcp roles)\n"
-               "  [--chaos-drop p] [--chaos-dup p] [--chaos-corrupt p]\n"
-               "  [--chaos-latency-us N] [--chaos-seed S]   (inproc only)\n");
+               "  [--straggle-us N]   (tcp roles)\n");
   std::exit(2);
 }
 
@@ -209,21 +203,6 @@ Args parse_args(int argc, char** argv) {
       args.dp_noise = static_cast<float>(std::atof(value(i)));
     } else if (flag == "--straggle-us") {
       args.straggle_us = std::atoi(value(i));
-    } else if (flag == "--chaos-drop") {
-      args.chaos.drop_prob = std::atof(value(i));
-      args.chaos_enabled = true;
-    } else if (flag == "--chaos-dup") {
-      args.chaos.dup_prob = std::atof(value(i));
-      args.chaos_enabled = true;
-    } else if (flag == "--chaos-corrupt") {
-      args.chaos.corrupt_prob = std::atof(value(i));
-      args.chaos_enabled = true;
-    } else if (flag == "--chaos-latency-us") {
-      args.chaos.latency_max_us = std::atoi(value(i));
-      args.chaos_enabled = true;
-    } else if (flag == "--chaos-seed") {
-      args.chaos.seed = std::strtoull(value(i), nullptr, 10);
-      args.chaos_enabled = true;
     } else {
       usage(("unknown option " + flag).c_str());
     }
@@ -249,11 +228,6 @@ struct Shared {
 Shared build_shared(const Args& args) {
   Shared shared;
   core::GtvOptions& options = shared.config.options;
-  // The exact gradient penalty differentiates through every party's bottom
-  // model in one autograd graph — a simulation-only concession. Node mode
-  // (and its in-process reference) always uses the server-local penalty so
-  // both paths run the identical per-party computation.
-  options.exact_gradient_penalty = false;
   options.gan.batch_size = args.batch;
   options.gan.d_steps_per_round = args.d_steps;
   options.dp_noise_std = args.dp_noise;
@@ -457,14 +431,8 @@ void print_publisher(const obs::agg::SnapshotPublisher& publisher) {
 
 int run_inproc(const Args& args, const Shared& shared) {
   core::GtvTrainer trainer(shared.shards, shared.config.options, args.seed);
-  std::shared_ptr<net::ChaosTransport> chaos;
-  if (args.chaos_enabled) {
-    chaos = std::make_shared<net::ChaosTransport>(std::make_shared<net::InProcTransport>(),
-                                                  args.chaos);
-    trainer.traffic().set_transport(chaos);
-  }
-  // No LiveStatus in the classic loop; samples carry round 0 / phase "idle"
-  // tags but still attribute CPU to the hot kernels.
+  // No LiveStatus in process; samples carry round 0 / phase "idle" tags but
+  // still attribute CPU to the hot kernels.
   obs::sampler::Sampler* prof = start_sampler(args, nullptr);
   trainer.train(args.rounds, [](std::size_t round, const gan::RoundLosses& losses) {
     obs::bb::note_loss(round, losses.d_loss, losses.g_loss, losses.gp,
@@ -476,8 +444,7 @@ int run_inproc(const Args& args, const Shared& shared) {
   }
   finish_sampler(prof, args, "inproc");
 
-  std::printf("{\n  \"role\": \"inproc\",\n  \"transport\": \"%s\",\n",
-              args.chaos_enabled ? "chaos+inproc" : "inproc");
+  std::printf("{\n  \"role\": \"inproc\",\n  \"transport\": \"inproc\",\n");
   print_losses(trainer.history());
   print_traffic(trainer.traffic());
   std::printf(",\n  \"model_hash\": \"%016llx\"",
@@ -485,26 +452,12 @@ int run_inproc(const Args& args, const Shared& shared) {
   if (!args.checkpoint_out.empty()) {
     std::printf(",\n  \"checkpoint\": \"%s\"", args.checkpoint_out.c_str());
   }
-  if (chaos) {
-    const auto stats = chaos->stats();
-    std::printf(
-        ",\n  \"chaos\": {\"sends\": %llu, \"drops\": %llu, \"dups\": %llu, "
-        "\"corruptions\": %llu, \"delays\": %llu},\n"
-        "  \"schedule_digest\": \"%016llx\"",
-        static_cast<unsigned long long>(stats.sends),
-        static_cast<unsigned long long>(stats.drops),
-        static_cast<unsigned long long>(stats.dups),
-        static_cast<unsigned long long>(stats.corruptions),
-        static_cast<unsigned long long>(stats.delays),
-        static_cast<unsigned long long>(chaos->schedule_digest()));
-  }
   print_sampler(prof);
   std::printf("\n}\n");
   return 0;
 }
 
 int run_server(const Args& args, Shared shared) {
-  obs::PartyScope scope(0);
   auto transport = std::make_shared<net::TcpTransport>("server");
   transport->listen(static_cast<std::uint16_t>(args.port));
   core::ServerNode node(shared.config, shared.g_widths, shared.d_widths);
@@ -530,7 +483,6 @@ int run_server(const Args& args, Shared shared) {
 }
 
 int run_client(const Args& args, Shared shared, std::size_t id) {
-  obs::PartyScope scope(static_cast<int>(id) + 1);
   const std::string name = "client" + std::to_string(id);
   auto transport = std::make_shared<net::TcpTransport>(name);
   transport->connect_peer("server", args.host, static_cast<std::uint16_t>(args.port));
