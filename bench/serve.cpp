@@ -51,8 +51,7 @@ serve::Checkpoint train_checkpoint() {
   core::GtvTrainer trainer(data::vertical_split(table, groups), options, 11);
   trainer.train(1);
   serve::Checkpoint ckpt = trainer.make_checkpoint();
-  serve::Synthesizer synth(ckpt);
-  ckpt.model_hash = serve::hash_table(synth.sample(64, ckpt.seed));
+  ckpt.model_hash = serve::model_hash_of(ckpt);
   return ckpt;
 }
 

@@ -19,10 +19,12 @@
 #          gtv-health must render it all.
 #   transport incremental build + transport tests, then the distributed
 #          smoke: gtv-node trains a 2-client split as 4 OS processes over
-#          TCP-localhost and the per-round losses must match the in-proc
-#          run (the same node roles on threads) to 1e-5, whose model hash
-#          must equal the committed BENCH_transport_smoke.json's. Emits
-#          BENCH_transport_smoke.json.
+#          TCP-localhost (split send/recv endpoints, the only way a payload
+#          crosses a link) and the per-round losses must match the in-proc
+#          run (the same node roles on threads) to 1e-5; the in-proc model
+#          hash, the hash the TCP driver stamps in its --checkpoint-out
+#          container and the committed BENCH_transport_smoke.json's must
+#          all be equal. Emits BENCH_transport_smoke.json.
 #   kernels incremental build + the dense-kernel tests (bit-parity vs the
 #          naive reference, IEEE non-finite propagation, thread-pool
 #          reentrancy, 10-round loss-trajectory parity), then bench/kernels:
@@ -96,8 +98,8 @@ fi
 
 # --- distributed transport smoke (stages: all, transport) --------------------
 # Trains the same tiny config two ways — in-process and as 4 OS processes
-# over TCP-localhost — and asserts the loss trajectories agree and the
-# in-process model is the committed one.
+# over TCP-localhost — and asserts the loss trajectories agree and both
+# runs produce the committed model.
 run_transport_stage() {
   local TOUT="$SMOKE_OUT/transport"
   mkdir -p "$TOUT"
@@ -121,7 +123,7 @@ run_transport_stage() {
     > "$TOUT/client1.json" 2>&1 &
   local C1_PID=$!
   "$NODE" --role driver $ARGS --port "$PORT" --driver-port "$DPORT" \
-    > "$TOUT/driver.json" 2>&1 &
+    --checkpoint-out "$TOUT/driver.gtvk" > "$TOUT/driver.json" 2>&1 &
   local DRIVER_PID=$!
   local PID FAILED=0
   for PID in "$SERVER_PID" "$C0_PID" "$C1_PID" "$DRIVER_PID"; do
@@ -156,10 +158,11 @@ for party in ("server", "client0", "client1"):
     stats = json.load(open(f"{out}/{party}.json"))["traffic"]
     assert stats["bytes"] > 0, f"{party} moved no bytes: {stats}"
 
-# The in-process model is the committed one: the same training, whichever
-# code runs it.
-assert inproc["model_hash"] == committed["model_hash"], \
-    f"in-proc model hash {inproc['model_hash']} != committed {committed['model_hash']}"
+# One model, one hash: the in-process run, the TCP driver's checkpoint
+# stamp and the committed baseline agree.
+assert inproc["model_hash"] == driver["model_hash"] == committed["model_hash"], \
+    (f"model hash: in-proc {inproc['model_hash']}, tcp driver {driver['model_hash']}, "
+     f"committed {committed['model_hash']}")
 
 baseline = {
     "schema_version": 1,

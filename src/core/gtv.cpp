@@ -320,15 +320,10 @@ data::Table GtvTrainer::sample(std::size_t rows) {
   return data::Table::concat_columns(sample_per_client(rows));
 }
 
-serve::Checkpoint GtvTrainer::make_checkpoint(std::uint64_t model_hash) {
+serve::Checkpoint GtvTrainer::make_checkpoint() {
   serve::Checkpoint ckpt;
   drive([&] { ckpt = driver_->collect_checkpoint(history_.size()); });
-  ckpt.model_hash = model_hash;
   return ckpt;
-}
-
-void GtvTrainer::save_checkpoint(const std::string& path, std::uint64_t model_hash) {
-  serve::save_checkpoint(make_checkpoint(model_hash), path);
 }
 
 serve::TrainCheckpoint GtvTrainer::make_train_checkpoint() {

@@ -99,10 +99,9 @@ class GtvTrainer {
   // --- serving (gtv::serve) ----------------------------------------------------
   // Snapshot of the full split generator stack (G^t + per-client G^b_i +
   // fitted encoders) as a versioned container for gtv-serve, assembled by
-  // the driver's kCmdCheckpoint barrier. `model_hash` is the FNV-1a table
-  // hash stamped in gtv-node's report (0 = unstamped).
-  serve::Checkpoint make_checkpoint(std::uint64_t model_hash = 0);
-  void save_checkpoint(const std::string& path, std::uint64_t model_hash = 0);
+  // the driver's kCmdCheckpoint barrier. Its model_hash is 0 (unstamped);
+  // serve::model_hash_of computes the stamp.
+  serve::Checkpoint make_checkpoint();
 
   // --- elastic federation (train-resume) ---------------------------------------
   // Full training state as a GTVT container (kCmdCheckpointTrain barrier):

@@ -622,10 +622,7 @@ std::vector<gan::RoundLosses> DriverNode::run() {
   }
   if (!checkpoint_out_.empty()) {
     serve::Checkpoint ckpt = collect_checkpoint(config_.rounds);
-    // Stamp the model identity before writing: the hash of a fixed-seed
-    // sample is a stable fingerprint of the assembled weights + encoders.
-    serve::Synthesizer synth(ckpt);
-    ckpt.model_hash = serve::hash_table(synth.sample(64, config_.seed));
+    ckpt.model_hash = serve::model_hash_of(ckpt);
     checkpoint_hash_ = ckpt.model_hash;
     serve::save_checkpoint(ckpt, checkpoint_out_);
   }

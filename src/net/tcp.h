@@ -18,8 +18,8 @@
 //
 // connect_peer() retries with bounded exponential backoff (rendezvous:
 // party processes start in arbitrary order), and recv timeouts are
-// enforced by the queue wait — the TrafficMeter layers its own
-// backoff/retry policy on top.
+// enforced by the queue wait — the TrafficMeter bounds how many expired
+// waits a receive tolerates.
 #pragma once
 
 #include <atomic>

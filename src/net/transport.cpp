@@ -77,7 +77,7 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   put_u16_le(out, static_cast<std::uint16_t>(frame.link.size()));
   put_u32_le(out, static_cast<std::uint32_t>(frame.payload.size()));
   put_u64_le(out, frame.seq);
-  // CRC over link + payload, the region a decorator may tamper with.
+  // CRC over link + payload; decode_frame_header validates the header.
   std::uint32_t crc = 0xffffffffu;
   {
     const auto& table = crc_table();
@@ -136,20 +136,13 @@ Frame decode_frame(const std::uint8_t* data, std::size_t len) {
 
 // --- Transport base --------------------------------------------------------------
 
-void Transport::send(const std::string& link, const std::vector<std::uint8_t>& payload,
-                     bool retransmit) {
+void Transport::send(const std::string& link, const std::vector<std::uint8_t>& payload) {
   Frame frame;
   frame.link = link;
   frame.payload = payload;
   {
     std::lock_guard<std::mutex> lock(seq_mu_);
-    std::uint64_t& next = send_seq_[link];
-    if (retransmit) {
-      if (next == 0) throw TransportError("transport: retransmit before first send on " + link);
-      frame.seq = next - 1;
-    } else {
-      frame.seq = next++;
-    }
+    frame.seq = send_seq_[link]++;
   }
   deliver_frame(link, encode_frame(frame));
 }
@@ -164,7 +157,7 @@ std::vector<std::uint8_t> Transport::recv(const std::string& link, int timeout_m
     std::unique_lock<std::mutex> lock(seq_mu_);
     std::uint64_t& expected = recv_expected_[link];
     if (frame.seq < expected) {
-      // Duplicate or late retransmit of an already-delivered message.
+      // Older than a message already delivered on this link.
       ++stale_dropped_;
       continue;
     }
@@ -217,12 +210,6 @@ std::vector<std::uint8_t> InProcTransport::fetch_frame(const std::string& link,
 void InProcTransport::discard_queued(const std::string& link) {
   std::lock_guard<std::mutex> lock(mu_);
   queues_.erase(link);
-}
-
-std::size_t InProcTransport::queued(const std::string& link) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = queues_.find(link);
-  return it == queues_.end() ? 0 : it->second.size();
 }
 
 }  // namespace gtv::net

@@ -3,7 +3,7 @@
 // Every cross-party payload in GTV travels as a *frame*: a versioned,
 // checksummed envelope addressed to a named link ("client0->server").
 // A Transport moves frames between the two ends of a link; the TrafficMeter
-// sits on top, charging traffic and retrying lost or corrupted deliveries.
+// sits on top, charging traffic and bounding receive waits.
 //
 // Frame layout (all integers little-endian, header = 24 bytes):
 //
@@ -16,18 +16,20 @@
 //       20     4  crc32        CRC-32 (IEEE) over link bytes + payload bytes
 //       24     .  link bytes, then payload bytes
 //
-// Sequencing gives the reliability layer exactly-once per-link delivery on
-// top of an at-least-once sender: a fresh send() increments the link's seq,
-// a retransmit (send with retransmit=true) reuses it, and recv() silently
-// drops frames whose seq is below the next expected one (duplicates and
-// late retransmits), so retries can never deliver a phantom message.
+// Every send() numbers its frame with the link's next seq, and recv()
+// silently drops a frame whose seq is below the next expected one,
+// counting it in stale_frames_dropped(). Neither transport below loses,
+// repeats or reorders a frame, so a healthy link drops nothing: the
+// numbers are an integrity check that keeps a repeated or overtaken frame
+// from being delivered as a new message (see send() for the one-sender
+// rule that keeps a link in order).
 //
-// Three implementations:
-//   - InProcTransport: loopback queues; the default under TrafficMeter and
-//     byte-identical to the pre-transport simulated boundary.
+// Two implementations:
+//   - InProcTransport: per-link queues between party threads of one
+//     process; the default under TrafficMeter.
 //   - TcpTransport (net/tcp.h): real POSIX sockets between OS processes.
-//   - ChaosTransport (net/chaos.h): a decorator injecting seeded latency,
-//     drops, duplicates and payload corruption at the frame layer.
+// Decorators (FleetTransport in net/fleet.h, gtv-node's straggler) wrap
+// one of them at the raw frame layer.
 #pragma once
 
 #include <condition_variable>
@@ -57,7 +59,7 @@ class WireError : public TransportError {
 };
 
 // Frame checksum mismatch — the payload was altered in flight. Raised by
-// decode_frame; the TrafficMeter counts it per link and retries.
+// decode_frame; the TrafficMeter counts it per link and rethrows.
 class CorruptFrameError : public WireError {
  public:
   using WireError::WireError;
@@ -117,28 +119,32 @@ FrameHeader decode_frame_header(const std::uint8_t* data, std::size_t len);
 
 // --- Transport -------------------------------------------------------------------
 // Payload-level API (send/recv) is implemented here once: framing, per-link
-// sequence numbers and duplicate suppression. Implementations supply raw
-// frame delivery (deliver_frame/fetch_frame); decorators such as
-// ChaosTransport intercept at that raw layer so their tampering is visible
-// to the checksum.
+// sequence numbers and stale-frame suppression. Implementations supply raw
+// frame delivery (deliver_frame/fetch_frame); decorators intercept at that
+// raw layer.
 class Transport {
  public:
   virtual ~Transport() = default;
 
-  // Frames `payload` onto `link` and delivers it. A fresh send advances the
-  // link's sequence number; retransmit=true reuses the previous one so the
-  // receiver can collapse duplicates of the same logical message.
-  void send(const std::string& link, const std::vector<std::uint8_t>& payload,
-            bool retransmit = false);
+  // Frames `payload` onto `link` with the link's next sequence number and
+  // delivers it.
+  //
+  // One sender per link: the sequence number is taken under a lock but the
+  // frame is delivered after the lock is released, so two threads sending
+  // on the same link could deliver seq n+1 before seq n, and recv() would
+  // then drop n as stale without an error. Each link must have one sending
+  // thread at a time; a caller that shares a link between threads
+  // serializes its sends (as ServeDaemon does).
+  void send(const std::string& link, const std::vector<std::uint8_t>& payload);
 
   // Returns the next logical payload on `link`, waiting up to `timeout_ms`
-  // (0 = only what is already queued). Silently discards stale duplicates.
+  // (0 = only what is already queued). Silently discards stale frames.
   // Throws TimeoutError when nothing arrives, CorruptFrameError when a
   // frame fails its checksum (the frame is consumed), WireError on
   // malformed or misrouted frames.
   std::vector<std::uint8_t> recv(const std::string& link, int timeout_ms);
 
-  // Implementation name for logs/metrics ("inproc", "tcp", "chaos+...").
+  // Implementation name for logs/metrics ("inproc", "tcp", ...).
   virtual std::string kind() const = 0;
 
   // Raw frame layer (public so decorators can forward to the inner
@@ -148,7 +154,7 @@ class Transport {
   virtual std::vector<std::uint8_t> fetch_frame(const std::string& link,
                                                 int timeout_ms) = 0;
 
-  // Frames dropped by recv() as duplicates/late retransmits.
+  // Frames dropped by recv() as stale (seq below the next expected).
   std::uint64_t stale_frames_dropped() const;
 
   // --- crash recovery -------------------------------------------------------
@@ -179,10 +185,8 @@ class Transport {
   std::uint64_t stale_dropped_ = 0;
 };
 
-// Loopback transport: frames queue in-process per link. The default under
-// TrafficMeter; transfer() pushes and immediately pops, reproducing the
-// original simulated boundary byte-for-byte. Thread-safe, so it also backs
-// multi-threaded tests.
+// In-process transport: frames queue per link between threads of one
+// process. The default under TrafficMeter. Thread-safe.
 class InProcTransport : public Transport {
  public:
   std::string kind() const override { return "inproc"; }
@@ -191,9 +195,6 @@ class InProcTransport : public Transport {
   std::vector<std::uint8_t> fetch_frame(const std::string& link,
                                         int timeout_ms) override;
   void discard_queued(const std::string& link) override;
-
-  // Frames currently queued on `link` (tests).
-  std::size_t queued(const std::string& link) const;
 
  private:
   mutable std::mutex mu_;

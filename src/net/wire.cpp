@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <thread>
 
 #include "obs/blackbox.h"
 #include "obs/metrics.h"
@@ -222,49 +221,6 @@ const TrafficMeter::FlowInfo& TrafficMeter::next_flow(const std::string& link, b
   return it->second;
 }
 
-void TrafficMeter::emit_transfer_trace(const FlowInfo& info, std::uint64_t flow_id,
-                                       std::uint64_t t0, std::uint64_t t1,
-                                       std::uint64_t t2) {
-  obs::TraceSink& sink = obs::TraceSink::instance();
-  // Give zero-length spans 1us so viewers render a slice the flow arrow can
-  // anchor to; the flow timestamps sit at the spans' starts so "s" precedes
-  // "f" and each lands inside its slice.
-  {
-    obs::PartyScope sender(info.from_pid);
-    sink.emit_complete(info.send_label.c_str(), t0, std::max<std::uint64_t>(1, t1 - t0));
-  }
-  sink.emit_flow(info.send_label.c_str(), flow_id, 's', info.from_pid, t0);
-  {
-    obs::PartyScope receiver(info.to_pid);
-    sink.emit_complete(info.recv_label.c_str(), t1, std::max<std::uint64_t>(1, t2 - t1));
-  }
-  sink.emit_flow(info.recv_label.c_str(), flow_id, 'f', info.to_pid, t1);
-}
-
-std::vector<std::uint8_t> TrafficMeter::roundtrip(const std::string& link,
-                                                  const std::vector<std::uint8_t>& payload) {
-  Transport& t = transport();
-  t.send(link, payload);
-  int backoff_ms = retry_.backoff_base_ms;
-  for (int attempt = 1;; ++attempt) {
-    try {
-      return t.recv(link, retry_.loopback_recv_timeout_ms);
-    } catch (const CorruptFrameError&) {
-      note_fault(link, "corrupt_frames", &LinkStats::corrupt_frames);
-      if (attempt >= retry_.max_attempts) throw;
-    } catch (const TimeoutError&) {
-      note_fault(link, "timeouts", &LinkStats::timeouts);
-      if (attempt >= retry_.max_attempts) throw;
-    }
-    if (backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, retry_.backoff_max_ms);
-    }
-    note_fault(link, "retries", &LinkStats::retries);
-    t.send(link, payload, /*retransmit=*/true);
-  }
-}
-
 std::vector<std::uint8_t> TrafficMeter::recv_with_retry(const std::string& link) {
   // EINTR never reaches this layer: every raw send/recv/accept/connect
   // syscall lives in tcp.cpp, whose loops restart on EINTR (sampling
@@ -275,8 +231,7 @@ std::vector<std::uint8_t> TrafficMeter::recv_with_retry(const std::string& link)
     try {
       return t.recv(link, retry_.recv_timeout_ms);
     } catch (const CorruptFrameError&) {
-      // A stream peer will not retransmit on its own; surface the typed
-      // error after counting it.
+      // No layer resends a frame, so count it and surface the typed error.
       note_fault(link, "corrupt_frames", &LinkStats::corrupt_frames);
       throw;
     } catch (const TimeoutError&) {
@@ -285,57 +240,6 @@ std::vector<std::uint8_t> TrafficMeter::recv_with_retry(const std::string& link)
       note_fault(link, "retries", &LinkStats::retries);
     }
   }
-}
-
-Tensor TrafficMeter::transfer(const std::string& link, const Tensor& t) {
-  const bool traced = obs::TraceSink::instance().active();
-  const bool timed = obs::timing_enabled();
-  const std::uint64_t t0 = traced ? obs::TraceSink::now_us() : 0;
-  Clock::time_point c0;
-  if (timed) c0 = Clock::now();
-  auto bytes = serialize_tensor(t);
-  charge(link, bytes.size());
-  auto back = roundtrip(link, bytes);
-  const std::uint64_t t1 = traced ? obs::TraceSink::now_us() : 0;
-  Clock::time_point c1;
-  if (timed) {
-    c1 = Clock::now();
-    record_timing(link, "send_ms", ms_since(c0));
-  }
-  Tensor out = deserialize_tensor(back);
-  if (traced) {
-    std::uint64_t id = 0;
-    const FlowInfo& info = next_flow(link, /*send=*/true, &id);
-    emit_transfer_trace(info, id, t0, t1, obs::TraceSink::now_us());
-  }
-  if (timed) record_timing(link, "recv_ms", ms_since(c1));
-  return out;
-}
-
-std::vector<std::size_t> TrafficMeter::transfer(const std::string& link,
-                                                const std::vector<std::size_t>& indices) {
-  const bool traced = obs::TraceSink::instance().active();
-  const bool timed = obs::timing_enabled();
-  const std::uint64_t t0 = traced ? obs::TraceSink::now_us() : 0;
-  Clock::time_point c0;
-  if (timed) c0 = Clock::now();
-  auto bytes = serialize_indices(indices);
-  charge(link, bytes.size());
-  auto back = roundtrip(link, bytes);
-  const std::uint64_t t1 = traced ? obs::TraceSink::now_us() : 0;
-  Clock::time_point c1;
-  if (timed) {
-    c1 = Clock::now();
-    record_timing(link, "send_ms", ms_since(c0));
-  }
-  auto out = deserialize_indices(back);
-  if (traced) {
-    std::uint64_t id = 0;
-    const FlowInfo& info = next_flow(link, /*send=*/true, &id);
-    emit_transfer_trace(info, id, t0, t1, obs::TraceSink::now_us());
-  }
-  if (timed) record_timing(link, "recv_ms", ms_since(c1));
-  return out;
 }
 
 void TrafficMeter::send_payload(const std::string& link,

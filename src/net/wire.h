@@ -2,19 +2,18 @@
 //
 // The VFL privacy argument rests on *what* crosses the server/client
 // boundary, so every cross-party value in this codebase is passed through a
-// TrafficMeter: the payload is serialized to bytes, the byte count is
-// charged to a named link, and the value is reconstructed from the bytes on
-// the "other side". This both enforces that only serializable plain data
-// crosses (no shared object graphs, no autograd history) and reproduces the
-// paper's communication-overhead accounting.
+// TrafficMeter: the sending party serializes the payload to bytes and
+// charges them to a named link (send_*), and the party at the other end
+// reconstructs the value from those bytes (recv_*). This both enforces that
+// only serializable plain data crosses (no shared object graphs, no
+// autograd history) and reproduces the paper's communication-overhead
+// accounting.
 //
-// Underneath, the bytes now travel through a pluggable net::Transport
-// (net/transport.h). The default InProcTransport is a loopback queue —
-// transfer() pushes a frame and immediately pops it, byte-identical to the
-// historical simulated boundary — but the same meter drives real TCP links
-// between OS processes (net/tcp.h) via the split send_*/recv_* endpoints,
-// and tolerates injected faults (net/chaos.h) through a bounded
-// retransmit/backoff loop.
+// Underneath, the bytes travel through a pluggable net::Transport
+// (net/transport.h): InProcTransport queues between party threads of one
+// process, TcpTransport (net/tcp.h) streams between OS processes. Both are
+// reliable and ordered, so the meter never resends; a receive only waits,
+// counting each expired wait, and gives up after a bounded number of them.
 //
 // One meter may carry several party threads at once (GtvTrainer's
 // in-process fleet charges every role to one meter): its accounting is
@@ -53,35 +52,31 @@ std::vector<std::size_t> deserialize_indices(const std::vector<std::uint8_t>& by
 struct LinkStats {
   std::uint64_t bytes = 0;
   std::uint64_t messages = 0;
-  // Reliability counters (all zero on a clean transport).
-  std::uint64_t retries = 0;         // retransmits after a timeout/corruption
+  // Receive-side fault counters (all zero on a healthy link).
+  std::uint64_t retries = 0;         // waits re-armed after a timeout
   std::uint64_t timeouts = 0;        // recv attempts that expired
   std::uint64_t corrupt_frames = 0;  // frames rejected by the CRC check
 };
 
-// Bounded retry/backoff for one logical transfer. On the loopback path a
-// frame is either already queued or lost (chaos), so the recv wait is 0 and
-// a miss immediately retransmits; distributed receivers wait recv_timeout_ms
-// per attempt instead (the peer is a real process that may be mid-compute).
+// Bounded wait for one received message: recv_* waits recv_timeout_ms per
+// attempt (the peer may be mid-compute) and throws TimeoutError after
+// max_attempts expired waits.
 struct RetryPolicy {
-  int max_attempts = 12;             // total tries per logical message
-  int recv_timeout_ms = 2000;        // per-attempt wait, distributed recv_*
-  int loopback_recv_timeout_ms = 0;  // per-attempt wait inside transfer()
-  int backoff_base_ms = 1;           // doubled per retry ...
-  int backoff_max_ms = 100;          // ... up to this cap
+  int max_attempts = 12;        // total waits per logical message
+  int recv_timeout_ms = 2000;   // per-attempt wait
 };
 
-// Besides the local per-meter accounting, every transfer is published to
+// Besides the local per-meter accounting, every message is published to
 // the process-wide obs::MetricsRegistry as `net.<link>.bytes` /
 // `net.<link>.messages` counters, with `net.<link>.retries` / `.timeouts` /
 // `.corrupt_frames` appearing as soon as the first fault is observed
 // (cumulative across meters; reset() does not rewind them). When timing is
 // enabled, per-link `net.<link>.send_ms` / `net.<link>.recv_ms` histograms
-// record the two halves of each transfer.
+// time each send_* and recv_* call.
 //
-// When a trace sink is active, each transfer additionally emits a
-// "send <link>" span on the sending party's trace row, a "recv <link>"
-// span on the receiving party's row, and a flow-event pair (ph:"s"/"f").
+// When a trace sink is active, each send_* emits a "send <link>" span on
+// the sending party's trace row and each recv_* a "recv <link>" span on the
+// receiving party's row, joined by a flow-event pair (ph:"s"/"f").
 // Flow ids are *deterministic* — hash(link) in the high bits, the link's
 // send ordinal (send half) or receive ordinal (recv half) in the low 20 —
 // so the n-th send pairs with the n-th receive whether the two halves are
@@ -93,21 +88,11 @@ struct RetryPolicy {
 // building.
 class TrafficMeter {
  public:
-  // Loopback round-trip: sends `t` over `link` and immediately receives it
-  // on the same meter — serializes, charges, frames, unframes,
-  // deserializes. Lost or corrupted deliveries (ChaosTransport) are
-  // recovered by retransmitting under the RetryPolicy; the payload bytes
-  // are charged once per logical transfer, not per retry.
-  Tensor transfer(const std::string& link, const Tensor& t);
-  std::vector<std::size_t> transfer(const std::string& link,
-                                    const std::vector<std::size_t>& indices);
-
-  // Split endpoints for real multi-process runs: the sending process calls
-  // send_*, the process at the other end of `link` calls recv_*. Traffic is
-  // charged on the sending side only. recv_* waits recv_timeout_ms per
-  // attempt; corrupted frames surface as CorruptFrameError after being
-  // counted (a stream transport cannot retransmit without a reverse
-  // channel — recovery there is the transport's job).
+  // The sending party calls send_*, the party at the other end of `link`
+  // calls recv_* — on one meter (party threads) or on one meter per
+  // process. Traffic is charged on the sending side only. recv_* waits
+  // under the RetryPolicy; a frame that fails its checksum is counted and
+  // surfaces as CorruptFrameError.
   void send_tensor(const std::string& link, const Tensor& t);
   Tensor recv_tensor(const std::string& link);
   void send_indices(const std::string& link, const std::vector<std::size_t>& idx);
@@ -122,7 +107,6 @@ class TrafficMeter {
   void set_transport(std::shared_ptr<Transport> transport);
   // Set before the parties start; read unlocked on every receive.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   // Snapshots, safe while other threads send and receive.
   LinkStats stats(const std::string& link) const;
@@ -150,14 +134,7 @@ class TrafficMeter {
   // valid after the lock drops: links are never erased from flows_, and
   // everything but the ordinals is fixed at creation.
   const FlowInfo& next_flow(const std::string& link, bool send, std::uint64_t* id);
-  // Emits the send/recv spans + flow pair for one transfer whose serialize
-  // phase was [t0, t1) and deserialize phase [t1, t2).
-  void emit_transfer_trace(const FlowInfo& info, std::uint64_t flow_id,
-                           std::uint64_t t0, std::uint64_t t1, std::uint64_t t2);
   void record_timing(const std::string& link, const char* half, double ms);
-  // send + recv with bounded retransmit (loopback path).
-  std::vector<std::uint8_t> roundtrip(const std::string& link,
-                                      const std::vector<std::uint8_t>& payload);
   std::vector<std::uint8_t> recv_with_retry(const std::string& link);
 
   struct LinkCounters {

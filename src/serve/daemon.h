@@ -21,11 +21,14 @@
 // max_batch are split across several forwards and streamed as multiple
 // RowBatch frames (done=true on the last).
 //
-// Concurrency over the shared transport: net::TrafficMeter is NOT
-// thread-safe, so handlers receive straight from the (thread-safe)
-// Transport and all sends (handler welcomes/errors + batcher row
-// batches) go through ONE send meter under a mutex — traffic is charged
-// sender-side, so nothing is lost by not metering receives.
+// Concurrency over the shared transport: handler threads (welcomes,
+// errors) and the batcher (row batches) all reply on one serve-><peer>
+// link, and net::Transport::send allows one sender per link at a time —
+// two concurrent senders could overtake each other's sequence numbers,
+// and the client would drop the overtaken frame as stale. So every send
+// goes through ONE send meter under send_mu_. Handlers receive straight
+// from the (thread-safe) Transport — traffic is charged sender-side, so
+// nothing is lost by not metering receives.
 //
 // Observability: serve.requests / serve.rows / serve.batches /
 // serve.errors counters, serve.batch_rows occupancy histogram and

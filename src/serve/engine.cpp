@@ -215,4 +215,8 @@ data::Table Synthesizer::sample(std::size_t rows, std::uint64_t seed, const Cond
   return run(p.input, p.gumbel);
 }
 
+std::uint64_t model_hash_of(const Checkpoint& checkpoint) {
+  return hash_table(Synthesizer(checkpoint).sample(64, checkpoint.seed));
+}
+
 }  // namespace gtv::serve

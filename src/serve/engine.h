@@ -102,4 +102,10 @@ class Synthesizer {
   std::vector<std::pair<std::size_t, std::size_t>> column_owner_;
 };
 
+// The model identity a checkpoint is stamped with and gtv-node reports:
+// hash_table of the 64 rows Synthesizer(checkpoint) samples with the
+// checkpoint's own seed. It fingerprints the assembled weights + encoders,
+// so the same training gets the same hash in process and over TCP.
+std::uint64_t model_hash_of(const Checkpoint& checkpoint);
+
 }  // namespace gtv::serve

@@ -277,7 +277,6 @@ TEST(GtvTrainerLifecycleTest, IdlePartiesNeverTimeOut) {
   net::RetryPolicy policy;
   policy.max_attempts = 2;
   policy.recv_timeout_ms = 50;
-  policy.backoff_base_ms = 0;
   trainer.traffic().set_retry_policy(policy);
   trainer.train(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(400));

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "net/chaos.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 
@@ -64,8 +63,7 @@ TEST(MetricsTest, MacroAucSkipsAbsentClasses) {
 
 // TrafficMeter::reset() rewinds only the meter's local view; the registry
 // counters are cumulative across meters and resets — including the
-// reliability counters (retries/timeouts/corrupt_frames) introduced with
-// the transport layer.
+// receive-side fault counters (retries/timeouts/corrupt_frames).
 TEST(TrafficCountersTest, MeterResetKeepsCumulativeRegistryCounters) {
   auto& registry = obs::MetricsRegistry::instance();
   const std::string link = "metrics-reset-test->peer";
@@ -73,21 +71,26 @@ TEST(TrafficCountersTest, MeterResetKeepsCumulativeRegistryCounters) {
   const auto retries_before = registry.counter("net." + link + ".retries").value();
   const auto timeouts_before = registry.counter("net." + link + ".timeouts").value();
 
-  net::ChaosOptions chaos;
-  chaos.drop_prob = 0.5;
-  chaos.seed = 17;
   net::TrafficMeter meter;
-  meter.set_transport(std::make_shared<net::ChaosTransport>(
-      std::make_shared<net::InProcTransport>(), chaos));
   net::RetryPolicy policy;
-  policy.backoff_base_ms = 0;
+  policy.max_attempts = 3;
+  policy.recv_timeout_ms = 1;
   meter.set_retry_policy(policy);
 
-  const std::vector<std::size_t> idx = {1, 2, 3, 4};
-  for (int i = 0; i < 30; ++i) meter.transfer(link, idx);
+  // 30 delivered messages, then one receive on the drained link: it waits
+  // max_attempts times (3 timeouts, 2 retries) and throws.
+  const auto exchange = [&] {
+    const std::vector<std::size_t> idx = {1, 2, 3, 4};
+    for (int i = 0; i < 30; ++i) {
+      meter.send_indices(link, idx);
+      EXPECT_EQ(meter.recv_indices(link), idx);
+    }
+    EXPECT_THROW(meter.recv_indices(link), net::TimeoutError);
+  };
+  exchange();
   const net::LinkStats first = meter.stats(link);
-  ASSERT_GT(first.retries, 0u);
-  ASSERT_EQ(first.retries, first.timeouts);  // drops surface as recv timeouts
+  ASSERT_EQ(first.timeouts, 3u);
+  ASSERT_EQ(first.retries, 2u);
 
   meter.reset();
   EXPECT_EQ(meter.stats(link).bytes, 0u);
@@ -102,12 +105,10 @@ TEST(TrafficCountersTest, MeterResetKeepsCumulativeRegistryCounters) {
 
   // ...and keeps accumulating across the reset while the local stats start
   // from zero again.
-  for (int i = 0; i < 30; ++i) meter.transfer(link, idx);
+  exchange();
   const net::LinkStats second = meter.stats(link);
   EXPECT_EQ(second.bytes, first.bytes);  // same traffic, fresh local count
-  // The chaos RNG continued across the reset, so second.retries need not
-  // equal first.retries — the invariant is that the registry delta equals
-  // the sum of both phases.
+  EXPECT_EQ(second.timeouts, first.timeouts);
   EXPECT_EQ(registry.counter("net." + link + ".bytes").value() - bytes_before,
             first.bytes + second.bytes);
   EXPECT_EQ(registry.counter("net." + link + ".retries").value() - retries_before,

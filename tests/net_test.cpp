@@ -137,12 +137,17 @@ TEST(WireTest, CorruptedBufferFuzzNeverCrashes) {
   }
 }
 
+// The meter's default InProcTransport queues a send until a recv on the
+// same meter takes it, so one meter plays both ends of a link.
 TEST(TrafficMeterTest, CountsBytesAndMessagesPerLink) {
   TrafficMeter meter;
   Tensor t(4, 8);  // 16-byte header + 128 bytes payload
-  meter.transfer("a->b", t);
-  meter.transfer("a->b", t);
-  meter.transfer("b->a", std::vector<std::size_t>{1, 2, 3});
+  meter.send_tensor("a->b", t);
+  meter.send_tensor("a->b", t);
+  meter.send_indices("b->a", std::vector<std::size_t>{1, 2, 3});
+  meter.recv_tensor("a->b");
+  meter.recv_tensor("a->b");
+  meter.recv_indices("b->a");
   EXPECT_EQ(meter.stats("a->b").messages, 2u);
   EXPECT_EQ(meter.stats("a->b").bytes, 2u * (16 + 4 * 8 * 4));
   EXPECT_EQ(meter.stats("b->a").messages, 1u);
@@ -151,19 +156,22 @@ TEST(TrafficMeterTest, CountsBytesAndMessagesPerLink) {
   EXPECT_EQ(meter.stats("unknown").bytes, 0u);
 }
 
-TEST(TrafficMeterTest, TransferReturnsEqualValue) {
+TEST(TrafficMeterTest, RecvReturnsEqualValue) {
   TrafficMeter meter;
   Rng rng(2);
   Tensor t = Tensor::normal(3, 3, 0.0f, 1.0f, rng);
-  Tensor out = meter.transfer("x", t);
+  meter.send_tensor("x", t);
+  Tensor out = meter.recv_tensor("x");
   EXPECT_FLOAT_EQ(t.max_abs_diff(out), 0.0f);
   std::vector<std::size_t> idx = {7, 0, 7};
-  EXPECT_EQ(meter.transfer("x", idx), idx);
+  meter.send_indices("x", idx);
+  EXPECT_EQ(meter.recv_indices("x"), idx);
 }
 
 TEST(TrafficMeterTest, ResetClears) {
   TrafficMeter meter;
-  meter.transfer("x", Tensor(1, 1));
+  meter.send_tensor("x", Tensor(1, 1));
+  meter.recv_tensor("x");
   meter.reset();
   EXPECT_EQ(meter.total().bytes, 0u);
   EXPECT_TRUE(meter.all().empty());
@@ -177,8 +185,10 @@ TEST(TrafficMeterTest, PublishesPerLinkCountersToRegistry) {
 
   TrafficMeter meter;
   Tensor t(4, 8);
-  meter.transfer("meter-test->peer", t);
-  meter.transfer("meter-test->peer", std::vector<std::size_t>{1, 2, 3});
+  meter.send_tensor("meter-test->peer", t);
+  meter.send_indices("meter-test->peer", std::vector<std::size_t>{1, 2, 3});
+  meter.recv_tensor("meter-test->peer");
+  meter.recv_indices("meter-test->peer");
 
   const auto& local = meter.stats("meter-test->peer");
   EXPECT_EQ(registry.counter("net.meter-test->peer.bytes").value() - bytes_before,
@@ -191,10 +201,12 @@ TEST(TrafficMeterTest, RegistryCountersSurviveMeterReset) {
   auto& registry = obs::MetricsRegistry::instance();
   const auto before = registry.counter("net.reset-test->peer.bytes").value();
   TrafficMeter meter;
-  meter.transfer("reset-test->peer", Tensor(2, 2));
+  meter.send_tensor("reset-test->peer", Tensor(2, 2));
+  meter.recv_tensor("reset-test->peer");
   const auto charged = meter.stats("reset-test->peer").bytes;
   meter.reset();
-  meter.transfer("reset-test->peer", Tensor(2, 2));
+  meter.send_tensor("reset-test->peer", Tensor(2, 2));
+  meter.recv_tensor("reset-test->peer");
   // Local stats rewound; the registry keeps the cumulative total.
   EXPECT_EQ(meter.stats("reset-test->peer").bytes, charged);
   EXPECT_EQ(registry.counter("net.reset-test->peer.bytes").value() - before, 2 * charged);

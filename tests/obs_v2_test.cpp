@@ -275,7 +275,7 @@ TEST(PartyScopeTest, NestsAndRestores) {
   EXPECT_EQ(TraceSink::current_party(), kDriverPid);
 }
 
-TEST(TraceFlowTest, TransferEmitsPartySpansAndFlowPair) {
+TEST(TraceFlowTest, SendRecvEmitPartySpansAndFlowPair) {
   const std::string path = ::testing::TempDir() + "obs_v2_flow_test.jsonl";
   TraceSink& sink = TraceSink::instance();
   sink.declare_party(0, "server");
@@ -283,8 +283,11 @@ TEST(TraceFlowTest, TransferEmitsPartySpansAndFlowPair) {
   sink.open(path);
   ASSERT_TRUE(sink.active());
 
+  // One meter plays both parties: the link's first send and first receive
+  // both take flow ordinal 0, so their ids pair.
   net::TrafficMeter meter;
-  meter.transfer("client0->server", Tensor::of({{1, 2, 3}}));
+  meter.send_tensor("client0->server", Tensor::of({{1, 2, 3}}));
+  meter.recv_tensor("client0->server");
   sink.close();
 
   bool saw_send = false, saw_recv = false, saw_s = false, saw_f = false;
@@ -329,7 +332,8 @@ TEST(TraceFlowTest, PeerToPeerLinksResolveClientPids) {
   TraceSink& sink = TraceSink::instance();
   sink.open(path);
   net::TrafficMeter meter;
-  meter.transfer("client2->client0", std::vector<std::size_t>{1, 2, 3});
+  meter.send_indices("client2->client0", std::vector<std::size_t>{1, 2, 3});
+  meter.recv_indices("client2->client0");
   sink.close();
 
   bool saw_pair = false;

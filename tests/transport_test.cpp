@@ -6,7 +6,6 @@
 #include <cmath>
 #include <thread>
 
-#include "net/chaos.h"
 #include "net/tcp.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -117,17 +116,16 @@ TEST(FrameCodecTest, CrcMatchesKnownVector) {
 TEST(TransportSeqTest, DeliversInOrderAndDropsDuplicates) {
   InProcTransport t;
   t.send("a->b", bytes_of({1}));
-  t.send("a->b", bytes_of({1}), /*retransmit=*/true);  // duplicate of seq 0
+  Frame duplicate;  // a second copy of seq 0, delivered raw
+  duplicate.link = "a->b";
+  duplicate.seq = 0;
+  duplicate.payload = bytes_of({1});
+  t.deliver_frame("a->b", encode_frame(duplicate));
   t.send("a->b", bytes_of({2}));
   EXPECT_EQ(t.recv("a->b", 0), bytes_of({1}));
   // The duplicate is silently skipped; the next logical payload arrives.
   EXPECT_EQ(t.recv("a->b", 0), bytes_of({2}));
   EXPECT_EQ(t.stale_frames_dropped(), 1u);
-}
-
-TEST(TransportSeqTest, RetransmitBeforeFirstSendThrows) {
-  InProcTransport t;
-  EXPECT_THROW(t.send("a->b", {}, /*retransmit=*/true), TransportError);
 }
 
 TEST(TransportSeqTest, LinksSequenceIndependently) {
@@ -151,145 +149,40 @@ TEST(InProcTransportTest, CrossThreadDelivery) {
   producer.join();
 }
 
-// --- ChaosTransport --------------------------------------------------------------
+// --- corrupt frames --------------------------------------------------------------
 
-TEST(ChaosTransportTest, SameSeedSameSchedule) {
-  const auto run = [](std::uint64_t seed) {
-    ChaosOptions options;
-    options.drop_prob = 0.3;
-    options.dup_prob = 0.2;
-    options.corrupt_prob = 0.2;
-    options.seed = seed;
-    ChaosTransport chaos(std::make_shared<InProcTransport>(), options);
-    for (int i = 0; i < 50; ++i) {
-      Frame frame;
-      frame.link = i % 2 == 0 ? "a->b" : "b->a";
-      frame.seq = static_cast<std::uint64_t>(i);
-      frame.payload = bytes_of({i, i + 1});
-      chaos.deliver_frame(frame.link, encode_frame(frame));
-    }
-    return chaos.schedule_digest();
-  };
-  EXPECT_EQ(run(9), run(9));
-  EXPECT_NE(run(9), run(10));
+// Seq 0 on `link` with one payload byte flipped, as deliver_frame would
+// carry it.
+std::vector<std::uint8_t> corrupted_frame(const std::string& link) {
+  Frame frame;
+  frame.link = link;
+  frame.payload = bytes_of({1, 2, 3});
+  auto encoded = encode_frame(frame);
+  encoded[kFrameHeaderBytes + link.size() + 1] ^= 0xa5;
+  return encoded;
 }
 
-TEST(ChaosTransportTest, CorruptionIsCaughtByChecksum) {
-  ChaosOptions options;
-  options.corrupt_prob = 1.0;
-  ChaosTransport chaos(std::make_shared<InProcTransport>(), options);
-  chaos.send("a->b", bytes_of({1, 2, 3}));
-  EXPECT_THROW(chaos.recv("a->b", 0), CorruptFrameError);
-  EXPECT_EQ(chaos.stats().corruptions, 1u);
+TEST(CorruptFrameTest, CorruptionIsCaughtByChecksum) {
+  InProcTransport t;
+  t.deliver_frame("a->b", corrupted_frame("a->b"));
+  EXPECT_THROW(t.recv("a->b", 0), CorruptFrameError);
 }
 
-TEST(ChaosTransportTest, MeterRecoversDropsByRetransmitting) {
-  ChaosOptions options;
-  options.drop_prob = 0.5;
-  options.seed = 3;
+// The receive path a TCP party runs: a corrupt frame is counted once, on
+// the meter and in the registry, and surfaces without any retry.
+TEST(CorruptFrameTest, MeterCountsCorruptFrameAndRethrows) {
+  const std::string link = "corrupt-test->peer";
+  auto& registry = gtv::obs::MetricsRegistry::instance();
+  const std::uint64_t corrupt_before =
+      registry.counter("net." + link + ".corrupt_frames").value();
+  const std::uint64_t retries_before = registry.counter("net." + link + ".retries").value();
   TrafficMeter meter;
-  meter.set_transport(std::make_shared<ChaosTransport>(std::make_shared<InProcTransport>(),
-                                                       options));
-  RetryPolicy policy;
-  policy.backoff_base_ms = 0;  // loopback: no need to sleep between retries
-  meter.set_retry_policy(policy);
-  Rng rng(1);
-  const Tensor t = Tensor::uniform(6, 4, -1.0f, 1.0f, rng);
-  for (int i = 0; i < 40; ++i) {
-    const Tensor out = meter.transfer("a->b", t);
-    EXPECT_FLOAT_EQ(t.max_abs_diff(out), 0.0f);
-  }
-  // Half the deliveries vanish, so retries must have happened — and every
-  // logical transfer still completed with the exact payload.
-  EXPECT_GT(meter.stats("a->b").retries, 0u);
-  EXPECT_EQ(meter.stats("a->b").messages, 40u);
-}
-
-TEST(ChaosTransportTest, MeterRecoversCorruptionAndDuplicates) {
-  ChaosOptions options;
-  options.drop_prob = 0.2;
-  options.dup_prob = 0.3;
-  options.corrupt_prob = 0.2;
-  options.seed = 11;
-  TrafficMeter meter;
-  meter.set_transport(std::make_shared<ChaosTransport>(std::make_shared<InProcTransport>(),
-                                                       options));
-  RetryPolicy policy;
-  policy.backoff_base_ms = 0;
-  meter.set_retry_policy(policy);
-  std::vector<std::size_t> idx = {3, 1, 4, 1, 5, 9, 2, 6};
-  for (int i = 0; i < 60; ++i) {
-    EXPECT_EQ(meter.transfer("noisy", idx), idx);
-  }
-  const LinkStats& stats = meter.stats("noisy");
-  EXPECT_EQ(stats.messages, 60u);
-  EXPECT_GT(stats.corrupt_frames, 0u);
-  EXPECT_GT(stats.retries, 0u);
-}
-
-TEST(ChaosTransportTest, CombinedChaosCountersMatchScheduleDigest) {
-  // Drop + dup + corrupt on the same link. The chaos schedule is a pure
-  // function of the seed (schedule_digest proves the runs saw the same
-  // faults), so the recovery counters — both the per-meter LinkStats and
-  // the process-wide net.<link>.* registry counters — must be identical
-  // across runs and consistent with each other.
-  struct RunResult {
-    LinkStats stats;
-    std::uint64_t digest = 0;
-    std::uint64_t reg_retries = 0, reg_timeouts = 0, reg_corrupt = 0;
-  };
-  auto run_once = [] {
-    ChaosOptions options;
-    options.drop_prob = 0.25;
-    options.dup_prob = 0.25;
-    options.corrupt_prob = 0.25;
-    options.seed = 17;
-    auto chaos =
-        std::make_shared<ChaosTransport>(std::make_shared<InProcTransport>(), options);
-    TrafficMeter meter;
-    meter.set_transport(chaos);
-    RetryPolicy policy;
-    policy.backoff_base_ms = 0;
-    meter.set_retry_policy(policy);
-    auto& registry = gtv::obs::MetricsRegistry::instance();
-    const std::uint64_t r0 = registry.counter("net.combined.retries").value();
-    const std::uint64_t t0 = registry.counter("net.combined.timeouts").value();
-    const std::uint64_t c0 = registry.counter("net.combined.corrupt_frames").value();
-    const std::vector<std::size_t> idx = {8, 6, 7, 5, 3, 0, 9};
-    for (int i = 0; i < 50; ++i) {
-      EXPECT_EQ(meter.transfer("combined", idx), idx);
-    }
-    RunResult result;
-    result.stats = meter.stats("combined");
-    result.digest = chaos->schedule_digest();
-    result.reg_retries = registry.counter("net.combined.retries").value() - r0;
-    result.reg_timeouts = registry.counter("net.combined.timeouts").value() - t0;
-    result.reg_corrupt = registry.counter("net.combined.corrupt_frames").value() - c0;
-    return result;
-  };
-
-  const RunResult a = run_once();
-  const RunResult b = run_once();
-  ASSERT_EQ(a.digest, b.digest);
-
-  // Every fault class fired at least once under the combined schedule.
-  EXPECT_GT(a.stats.retries, 0u);
-  EXPECT_GT(a.stats.timeouts, 0u);
-  EXPECT_GT(a.stats.corrupt_frames, 0u);
-  EXPECT_EQ(a.stats.messages, 50u);
-
-  // Same digest -> same counters, run over run.
-  EXPECT_EQ(a.stats.retries, b.stats.retries);
-  EXPECT_EQ(a.stats.timeouts, b.stats.timeouts);
-  EXPECT_EQ(a.stats.corrupt_frames, b.stats.corrupt_frames);
-
-  // The registry deltas mirror the LinkStats exactly, both runs.
-  EXPECT_EQ(a.reg_retries, a.stats.retries);
-  EXPECT_EQ(a.reg_timeouts, a.stats.timeouts);
-  EXPECT_EQ(a.reg_corrupt, a.stats.corrupt_frames);
-  EXPECT_EQ(b.reg_retries, b.stats.retries);
-  EXPECT_EQ(b.reg_timeouts, b.stats.timeouts);
-  EXPECT_EQ(b.reg_corrupt, b.stats.corrupt_frames);
+  meter.transport().deliver_frame(link, corrupted_frame(link));
+  EXPECT_THROW(meter.recv_payload(link), CorruptFrameError);
+  EXPECT_EQ(meter.stats(link).corrupt_frames, 1u);
+  EXPECT_EQ(meter.stats(link).retries, 0u);
+  EXPECT_EQ(registry.counter("net." + link + ".corrupt_frames").value() - corrupt_before, 1u);
+  EXPECT_EQ(registry.counter("net." + link + ".retries").value() - retries_before, 0u);
 }
 
 // --- TcpTransport ----------------------------------------------------------------

@@ -37,7 +37,6 @@
 #include "core/partition.h"
 #include "data/datasets.h"
 #include "data/table.h"
-#include "net/chaos.h"
 #include "net/tcp.h"
 #include "obs/agg.h"
 #include "obs/blackbox.h"
@@ -46,6 +45,7 @@
 #include "obs/snapshot.h"
 #include "obs/thread_name.h"
 #include "obs/trace.h"
+#include "serve/engine.h"
 
 namespace {
 
@@ -100,8 +100,8 @@ struct Args {
   bool elastic = false;
   // Per-party DP noise on outbound activations (options.dp_noise_std).
   float dp_noise = 0.0f;
-  // Deterministic straggler: fixed per-delivery latency injected through a
-  // ChaosTransport wrapped around the real TCP transport (any role).
+  // Deterministic straggler: fixed per-delivery latency added by a
+  // StraggleTransport wrapped around the real TCP transport (any role).
   int straggle_us = 0;
 };
 
@@ -269,10 +269,6 @@ void declare_parties(std::size_t n_clients) {
   sink.declare_party(obs::kDriverPid, "driver");
 }
 
-// Model fingerprint: serve::hash_table is the same FNV-1a the checkpoint
-// container stamps, so the report hash and the checkpoint hash agree.
-std::uint64_t hash_table(const data::Table& table) { return serve::hash_table(table); }
-
 void print_losses(const std::vector<gan::RoundLosses>& history) {
   std::printf("  \"rounds\": [");
   for (std::size_t r = 0; r < history.size(); ++r) {
@@ -295,21 +291,40 @@ void print_traffic(const net::TrafficMeter& meter) {
               static_cast<unsigned long long>(total.corrupt_frames));
 }
 
-// --straggle-us: wraps the party's TCP transport in a ChaosTransport whose
-// only fault is a fixed per-delivery latency — a deterministic straggler.
-// The lockstep protocol tolerates it by construction; crash recovery must
-// keep tolerating it, which the resume smoke pins.
+// --straggle-us: a deterministic straggler. Every outgoing frame is
+// delivered `delay_us` late; everything else, crash-recovery plumbing
+// included, passes straight through to the real transport. The lockstep
+// protocol tolerates it by construction; crash recovery must keep
+// tolerating it, which the resume smoke pins.
+class StraggleTransport : public net::Transport {
+ public:
+  StraggleTransport(std::shared_ptr<net::Transport> inner, int delay_us)
+      : inner_(std::move(inner)), delay_us_(delay_us) {}
+  std::string kind() const override { return "straggle+" + inner_->kind(); }
+  void deliver_frame(const std::string& link, std::vector<std::uint8_t> frame) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_us_));
+    inner_->deliver_frame(link, std::move(frame));
+  }
+  std::vector<std::uint8_t> fetch_frame(const std::string& link, int timeout_ms) override {
+    return inner_->fetch_frame(link, timeout_ms);
+  }
+  void discard_queued(const std::string& link) override { inner_->discard_queued(link); }
+  bool wait_for_live_peer(const std::string& peer, int timeout_ms) override {
+    return inner_->wait_for_live_peer(peer, timeout_ms);
+  }
+
+ private:
+  std::shared_ptr<net::Transport> inner_;
+  int delay_us_;
+};
+
 std::shared_ptr<net::Transport> maybe_straggle(std::shared_ptr<net::Transport> transport,
                                                const Args& args) {
   if (args.straggle_us <= 0) return transport;
-  net::ChaosOptions chaos;
-  chaos.latency_min_us = args.straggle_us;
-  chaos.latency_max_us = args.straggle_us;
-  chaos.seed = args.seed;
-  return std::make_shared<net::ChaosTransport>(std::move(transport), chaos);
+  return std::make_shared<StraggleTransport>(std::move(transport), args.straggle_us);
 }
 
-// Node roles park longer per recv attempt than the loopback default: the
+// Node roles park longer per recv attempt than the RetryPolicy default: the
 // peer may legitimately be grinding through a whole critic step. Defaults
 // give ~2 minutes before giving up on a peer; crash smokes dial both down.
 net::RetryPolicy node_retry_policy(const Args& args) {
@@ -438,17 +453,16 @@ int run_inproc(const Args& args, const Shared& shared) {
     obs::bb::note_loss(round, losses.d_loss, losses.g_loss, losses.gp,
                        losses.wasserstein);
   });
-  const std::uint64_t model_hash = hash_table(trainer.sample(64));
-  if (!args.checkpoint_out.empty()) {
-    trainer.save_checkpoint(args.checkpoint_out, model_hash);
-  }
+  serve::Checkpoint ckpt = trainer.make_checkpoint();
+  ckpt.model_hash = serve::model_hash_of(ckpt);
+  if (!args.checkpoint_out.empty()) serve::save_checkpoint(ckpt, args.checkpoint_out);
   finish_sampler(prof, args, "inproc");
 
   std::printf("{\n  \"role\": \"inproc\",\n  \"transport\": \"inproc\",\n");
   print_losses(trainer.history());
   print_traffic(trainer.traffic());
   std::printf(",\n  \"model_hash\": \"%016llx\"",
-              static_cast<unsigned long long>(model_hash));
+              static_cast<unsigned long long>(ckpt.model_hash));
   if (!args.checkpoint_out.empty()) {
     std::printf(",\n  \"checkpoint\": \"%s\"", args.checkpoint_out.c_str());
   }

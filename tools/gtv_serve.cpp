@@ -1,7 +1,7 @@
 // gtv-serve — batched synthesis-serving daemon for GTV checkpoints.
 //
 // Daemon mode loads a versioned checkpoint container (written by
-// gtv-node --checkpoint-out or GtvTrainer::save_checkpoint) and serves
+// gtv-node --checkpoint-out or serve::save_checkpoint) and serves
 // seeded SampleRequests over the gtv::net framed transport, coalescing
 // concurrent clients into single generator forwards:
 //
