@@ -16,7 +16,10 @@
 #          BENCH_health_smoke.json baseline), a destabilized-LR run must
 #          turn fatal and emit health.* trace instants, the divergence-test
 #          JSONL artefact must hold well-formed alerts, and gtv-prof /
-#          gtv-health must render it all.
+#          gtv-health must render it all. Then health over TCP: a 12-round
+#          4-process run with GTV_HEALTH=1 everywhere must report 6 modules
+#          per round, a probe on round 9 and the in-process run's health
+#          block (module/probe counts, every alert's rule/round/severity).
 #   transport incremental build + transport tests, then the distributed
 #          smoke: gtv-node trains a 2-client split as 4 OS processes over
 #          TCP-localhost (split send/recv endpoints, the only way a payload
@@ -96,6 +99,10 @@ else
   trap 'rm -rf "$SMOKE_OUT"' EXIT
 fi
 
+# Every fixed port below comes from the block 27661-27790, under Linux's
+# ephemeral range (32768-60999 by default): the kernel never hands one of
+# them to an outgoing connection, so a smoke's listen cannot find it taken.
+
 # --- distributed transport smoke (stages: all, transport) --------------------
 # Trains the same tiny config two ways — in-process and as 4 OS processes
 # over TCP-localhost — and asserts the loss trajectories agree and both
@@ -105,7 +112,7 @@ run_transport_stage() {
   mkdir -p "$TOUT"
   local NODE="$BUILD_DIR/tools/gtv-node"
   local ARGS="--clients 2 --rounds 2 --rows 96 --batch 32 --d-steps 2 --seed 7"
-  local PORT=47661 DPORT=47662
+  local PORT=27661 DPORT=27662
   command -v python3 > /dev/null 2>&1 \
     || { echo "FAIL: the transport stage needs python3 to compare losses"; exit 1; }
 
@@ -190,7 +197,7 @@ run_liveobs_stage() {
   local TOP="$BUILD_DIR/tools/gtv-top"
   local PROF="$BUILD_DIR/tools/gtv-prof"
   local ARGS="--clients 2 --rounds 3 --rows 96 --batch 32 --d-steps 2 --seed 7"
-  local PORT=47681 DPORT=47682 CPORT=47683 MPORT=47684
+  local PORT=27681 DPORT=27682 CPORT=27683 MPORT=27684
   local LINGER_MS=4000
   command -v python3 > /dev/null 2>&1 \
     || { echo "FAIL: the liveobs stage needs python3"; exit 1; }
@@ -419,7 +426,7 @@ run_blackbox_stage() {
   local NODE="$BUILD_DIR/tools/gtv-node"
   local PM="$BUILD_DIR/tools/gtv-postmortem"
   local ARGS="--clients 2 --rounds 8 --rows 96 --batch 32 --d-steps 2 --seed 7"
-  local PORT=47701 DPORT=47702 CPORT=47703
+  local PORT=27701 DPORT=27702 CPORT=27703
   command -v python3 > /dev/null 2>&1 \
     || { echo "FAIL: the blackbox stage needs python3"; exit 1; }
 
@@ -600,7 +607,7 @@ run_sampler_stage() {
   # Big enough (~0.7s CPU) that the sampler's one-time costs — ELF symtab
   # parse, exit symbolization, folded write — amortize under the 3% gate.
   local ARGS="--clients 2 --rounds 10 --rows 384 --batch 64 --d-steps 2 --seed 7"
-  local PORT=47721 DPORT=47722
+  local PORT=27721 DPORT=27722
   command -v python3 > /dev/null 2>&1 \
     || { echo "FAIL: the sampler stage needs python3"; exit 1; }
 
@@ -769,7 +776,7 @@ run_serve_stage() {
   local SERVE="$BUILD_DIR/tools/gtv-serve"
   local PM="$BUILD_DIR/tools/gtv-postmortem"
   local ARGS="--clients 2 --rounds 2 --rows 96 --batch 32 --d-steps 2 --seed 7"
-  local PORT=47741 MPORT=47742
+  local PORT=27741 MPORT=27742
   command -v python3 > /dev/null 2>&1 \
     || { echo "FAIL: the serve stage needs python3"; exit 1; }
 
@@ -958,16 +965,16 @@ run_resume_stage() {
   #    container every 3 rounds must reproduce the plain trajectory. The
   #    surviving file is the round-6 snapshot ((r+1) % 3 lands the
   #    barrier after rounds 3 and 6, never 8).
-  run4 base8 47761 47762 --rounds 8 --train-ckpt "$EOUT/train.gtvt" --ckpt-every 3
+  run4 base8 27761 27762 --rounds 8 --train-ckpt "$EOUT/train.gtvt" --ckpt-every 3
   [ -s "$EOUT/train.gtvt" ] \
     || { echo "FAIL: the elastic run left no GTVT train checkpoint"; exit 1; }
 
   # 3. Cold resume: fresh processes, --resume from the round-6 container,
   #    train rounds 7..8 only. Same full history, same final model hash.
-  run4 resumed 47763 47764 --rounds 8 --resume "$EOUT/train.gtvt"
+  run4 resumed 27763 27764 --rounds 8 --resume "$EOUT/train.gtvt"
 
   # 4. Uninterrupted 40-round TCP baseline for the crash leg's gates.
-  run4 base40 47765 47766 --rounds 40
+  run4 base40 27765 27766 --rounds 40
 
   # 5. The headline crash. The straggler latency stretches the run so the
   #    SIGKILL lands mid-training (an unthrottled 40-round run is over in
@@ -975,7 +982,7 @@ run_resume_stage() {
   #    GTVT snapshot is on disk and relaunches with --rejoin. The driver
   #    must park the round, readmit the newcomer, and finish all 40
   #    rounds with recoveries >= 1.
-  local KARGS="$ARGS --rounds 40 --straggle-us 10000 --port 47767 --driver-port 47768"
+  local KARGS="$ARGS --rounds 40 --straggle-us 10000 --port 27767 --driver-port 27768"
   KARGS="$KARGS --train-ckpt $EOUT/crash.gtvt --ckpt-every 2 --rejoin-wait-ms 30000"
   "$NODE" --role server $KARGS > "$EOUT/crash_server.json" 2>&1 &
   local S_PID=$!
@@ -1003,7 +1010,8 @@ run_resume_stage() {
          cat "$EOUT/crash_client1.json"; exit 1; }
   kill -9 "$C1_PID"
   wait "$C1_PID" 2> /dev/null || true
-  sleep 0.3
+  # Relaunch at once: the rejoiner may reconnect before the driver even
+  # notices the death, which recovery must handle too.
   "$NODE" --role client1 $KARGS --rejoin > "$EOUT/crash_rejoin.json" 2>&1 &
   local R_PID=$!
   wait_leg crash "$S_PID" "$C0_PID" "$R_PID" "$D_PID"
@@ -1011,7 +1019,7 @@ run_resume_stage() {
   # 6. DP parity over TCP: same noise std, per-party noise streams, so
   #    the deployment must match the in-proc DP trainer.
   "$NODE" --role inproc $ARGS --rounds 8 --dp-noise 0.1 > "$EOUT/dp_inproc.json"
-  run4 dp 47769 47770 --rounds 8 --dp-noise 0.1
+  run4 dp 27769 27770 --rounds 8 --dp-noise 0.1
 
   # 7. Assertions + baseline emission.
   python3 - "$EOUT" <<'EOF'
@@ -1371,5 +1379,41 @@ grep -q "== per-round timeline" "$HEALTH_OUT/health_report.txt" \
   || { echo "FAIL: gtv-health produced no timeline"; exit 1; }
 grep -q "== run context" "$HEALTH_OUT/health_report.txt" \
   || { echo "FAIL: gtv-health produced no merged run context"; exit 1; }
+
+# 5. Health over TCP: the DriverNode runs the rules on the parties' round
+#    reports and probes through the clients, so 4 processes armed with
+#    GTV_HEALTH=1 must print the in-process run's health block. 12 rounds
+#    put the default probe interval's probe on round 9.
+command -v python3 > /dev/null 2>&1 \
+  || { echo "FAIL: the health stage needs python3 to compare health blocks"; exit 1; }
+HTCP="$HEALTH_OUT/tcp"
+mkdir -p "$HTCP"
+HARGS="--clients 2 --rounds 12 --rows 96 --batch 32 --d-steps 2 --seed 7"
+GTV_HEALTH=1 "$BUILD_DIR/tools/gtv-node" --role inproc $HARGS > "$HTCP/inproc.json"
+HPIDS=()
+for ROLE in server client0 client1 driver; do
+  GTV_HEALTH=1 "$BUILD_DIR/tools/gtv-node" --role "$ROLE" $HARGS \
+    --port 27771 --driver-port 27772 > "$HTCP/$ROLE.json" 2>&1 &
+  HPIDS+=($!)
+done
+HFAILED=0
+for PID in "${HPIDS[@]}"; do wait "$PID" || HFAILED=1; done
+if [ "$HFAILED" -ne 0 ]; then
+  echo "FAIL: a health-armed gtv-node process exited nonzero"
+  cat "$HTCP"/*.json
+  exit 1
+fi
+python3 - "$HTCP" <<'EOF'
+import json, sys
+out = sys.argv[1]
+inproc = json.load(open(f"{out}/inproc.json"))["health"]
+driver = json.load(open(f"{out}/driver.json"))["health"]
+assert len(driver["rounds"]) == 12, driver["rounds"]
+assert all(r["modules"] == 6 for r in driver["rounds"]), driver["rounds"]
+assert [r for r, v in enumerate(driver["rounds"]) if v["probes"]] == [9], driver["rounds"]
+assert driver == inproc, f"tcp health {driver} != in-process {inproc}"
+print(f"health over TCP OK: 12 rounds x 6 modules, probe on round 9, "
+      f"{len(driver['alerts'])} alerts as in process")
+EOF
 
 echo "check.sh: all green (stage $STAGE)"

@@ -213,14 +213,6 @@ void GtvClient::shuffle_local_data(std::uint64_t round_seed) {
   cond_ = std::make_unique<encode::ConditionalSampler>(encoder_, table_);
 }
 
-data::Table GtvClient::synthesize(const Tensor& g_slice) {
-  ag::NoGradGuard no_grad;
-  g_bottom_->set_training(false);
-  Var fake = run_generator_bottom(Var(g_slice), nullptr);
-  g_bottom_->set_training(true);
-  return encoder_.decode(fake.value());
-}
-
 std::vector<std::size_t> GtvClient::original_rows(const std::vector<std::size_t>& idx) const {
   std::vector<std::size_t> out;
   out.reserve(idx.size());

@@ -37,8 +37,6 @@ class GtvClient {
   // --- conditional-vector duty (when this client is the selected p) ---------
   encode::ConditionalSampler::Sample sample_cv(std::size_t batch);
   void set_pending_condition(const encode::ConditionalSampler::Sample& sample);
-  // Synthesis-time CV (original category frequencies).
-  Tensor sample_cv_original(std::size_t batch) { return cond_->sample_original(batch, rng_); }
 
   // --- generator path ----------------------------------------------------------
   Tensor forward_fake(const Tensor& g_slice, bool train_generator);
@@ -75,9 +73,6 @@ class GtvClient {
   // round between forward and backward; resume restarts the whole round).
   void clear_pending();
 
-  // --- synthesis -------------------------------------------------------------------------
-  data::Table synthesize(const Tensor& g_slice);
-
   // --- evaluation and checkpoint access (not part of the deployed protocol) ---
   // Bottom modules, exposed for checkpointing (serve::snapshot_net, resume).
   nn::Module& discriminator_bottom() { return *d_bottom_; }
@@ -92,8 +87,7 @@ class GtvClient {
   // Optimizer handles for health monitoring (last_step_stats of G^b / D^b).
   nn::Adam& adam_generator() { return *adam_g_; }
   nn::Adam& adam_discriminator() { return *adam_d_; }
-  // Local RNG, exposed so the trainer's sample-quality probe can snapshot
-  // and restore it (probes must not perturb the training stream).
+  // Local RNG, exposed for train-resume state capture.
   Rng& rng() { return rng_; }
   // DP noise stream, exposed for train-resume state capture.
   Rng& dp_rng() { return dp_rng_; }

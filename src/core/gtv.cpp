@@ -1,21 +1,16 @@
 #include "core/gtv.h"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
-#include <set>
 #include <stdexcept>
 
-#include "obs/health.h"
 #include "obs/memory.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace gtv::core {
 
 GtvTrainer::GtvTrainer(std::vector<data::Table> client_tables, GtvOptions options,
                        std::uint64_t seed)
-    : options_(options), health_monitor_(options.health.thresholds) {
+    : options_(options) {
   if (client_tables.empty()) throw std::invalid_argument("GtvTrainer: no clients");
   const std::size_t rows = client_tables.front().n_rows();
   std::vector<std::size_t> feature_counts;
@@ -83,12 +78,7 @@ GtvTrainer::~GtvTrainer() {
 }
 
 void GtvTrainer::start_parties() {
-  std::set<std::string> command_links = {"driver->server"};
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    command_links.insert("driver->client" + std::to_string(i));
-  }
-  fleet_ = std::make_shared<net::FleetTransport>(meter_.shared_transport(),
-                                                 std::move(command_links));
+  fleet_ = std::make_shared<net::FleetTransport>(meter_.shared_transport());
   meter_.set_transport(fleet_);
   const auto launch = [this](std::function<void()> run) {
     parties_.emplace_back([this, run = std::move(run)] {
@@ -115,157 +105,55 @@ void GtvTrainer::start_parties() {
 void GtvTrainer::drive(const std::function<void()>& exchange) {
   if (fleet_ == nullptr) start_parties();
   try {
-    fleet_->await_quiescent();  // a no-op unless the setup handshake still runs
     exchange();
-    fleet_->await_quiescent();
   } catch (...) {
-    std::exception_ptr failure;
-    {
-      std::lock_guard<std::mutex> lock(failure_mu_);
-      failure = party_failure_;
-    }
-    if (failure != nullptr) std::rethrow_exception(failure);
-    // A driver-side error that left every party parked (a rejected
-    // checkpoint, say) leaves the fleet usable; anything else ends it.
-    if (!fleet_->quiescent()) fleet_->stop();
+    fleet_->stop();  // the exchange may have left replies unread: the fleet is done
+    std::lock_guard<std::mutex> lock(failure_mu_);
+    if (party_failure_ != nullptr) std::rethrow_exception(party_failure_);
     throw;
   }
 }
 
 GtvServer& GtvTrainer::server() {
-  drive([] {});
+  if (history().empty()) throw std::logic_error("GtvTrainer::server(): no round has run");
   return server_->server();
 }
 
 gan::RoundLosses GtvTrainer::train_round() {
-  static obs::Histogram& round_hist =
-      obs::MetricsRegistry::instance().histogram("gtv.phase.round_ms");
   const std::map<std::string, net::LinkStats> traffic_before = meter_.all();
-  gan::RoundLosses losses;
-  double round_ms = 0.0;
-  {
-    obs::ScopedTimer round_span("round", &round_hist, &round_ms, /*always=*/true);
-    drive([&] { losses = driver_->train_round(); });
-  }
+  obs::RoundTelemetry* record = nullptr;
+  drive([&] { record = &driver_->train_round(); });
   obs::publish_memory_gauges();
-  obs::RoundTelemetry telemetry = server_->take_phases();
-  telemetry.round = telemetry_.size();
-  telemetry.total_ms = round_ms;
-  // The clients shuffle concurrently; the slowest one gates the next round.
-  for (auto& client : clients_) {
-    telemetry.shuffle_ms = std::max(telemetry.shuffle_ms, client->take_shuffle_ms());
-  }
-  telemetry.d_loss = losses.d_loss;
-  telemetry.g_loss = losses.g_loss;
-  telemetry.gp = losses.gp;
-  telemetry.wasserstein = losses.wasserstein;
-  // Per-link deltas charged by this round (links can appear mid-run).
+  // Per-link deltas charged by this round, a health probe's included
+  // (links can appear mid-run).
   for (const auto& [link, stats] : meter_.all()) {
     const auto it = traffic_before.find(link);
     const net::LinkStats before = it == traffic_before.end() ? net::LinkStats{} : it->second;
     if (stats.bytes == before.bytes && stats.messages == before.messages) continue;
-    telemetry.links.push_back(
-        {link, stats.bytes - before.bytes, stats.messages - before.messages});
+    record->links.push_back({link, stats.bytes - before.bytes, stats.messages - before.messages});
   }
-  history_.push_back(losses);
-  telemetry_.push_back(std::move(telemetry));
-  if (obs::health_enabled()) collect_health(losses);
-  return losses;
+  if (on_alert_) {
+    for (const auto& alert : record->health.alerts) on_alert_(alert);
+  }
+  if (const obs::HealthAlert* fatal = abort_alert(options_.health, record->health)) {
+    throw FatalHealthError(*fatal);
+  }
+  return history().back();
 }
 
 std::vector<obs::HealthAlert> GtvTrainer::health_alerts() const {
   std::vector<obs::HealthAlert> out;
-  for (const auto& t : telemetry_) {
+  for (const auto& t : telemetry()) {
     out.insert(out.end(), t.health.alerts.begin(), t.health.alerts.end());
   }
   return out;
 }
 
-void GtvTrainer::collect_health(const gan::RoundLosses& losses) {
-  obs::RoundHealth& health = telemetry_.back().health;
-  health.collected = true;
-  const std::size_t round = telemetry_.back().round;
-
-  // Tier 1: optimizer-step statistics. The discriminator stats describe the
-  // round's last critic step, the generator stats its single generator step
-  // (same convention RoundLosses uses for d_loss/g_loss).
-  const auto add = [&health](const std::string& module, const nn::AdamStepStats& s) {
-    if (!s.collected) return;
-    health.modules.push_back(
-        {module, s.grad_norm, s.weight_norm, s.update_norm, s.grad_max_abs, s.nonfinite});
-  };
-  GtvServer& server = server_->server();
-  add("server.G", server.adam_generator().last_step_stats());
-  add("server.D", server.adam_discriminator().last_step_stats());
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    const std::string prefix = "client" + std::to_string(i);
-    add(prefix + ".G", client(i).adam_generator().last_step_stats());
-    add(prefix + ".D", client(i).adam_discriminator().last_step_stats());
-  }
-
-  // Tier 3 collection (rule evaluation for it is warmup-gated downstream).
-  if (options_.health.probe_interval > 0 &&
-      (round + 1) % options_.health.probe_interval == 0) {
-    run_probe(health);
-  }
-
-  health_monitor_.evaluate(round, losses.d_loss, losses.g_loss, losses.gp,
-                           losses.wasserstein, health);
-
-  if (on_alert_) {
-    for (const auto& alert : health.alerts) on_alert_(alert);
-  }
-  if (options_.health.abort_on_fatal && health.has_fatal()) {
-    for (const auto& alert : health.alerts) {
-      if (alert.severity == obs::Severity::kFatal) throw FatalHealthError(alert);
-    }
-  }
-}
-
-void GtvTrainer::run_probe(obs::RoundHealth& health) {
-  // Synthesis perturbs the server/client RNG streams (noise, CV sampling,
-  // decode); snapshot and restore them so a probed run follows the exact
-  // training trajectory of an unprobed one. The probe also bypasses the
-  // TrafficMeter: it is local introspection, not protocol traffic.
-  GtvServer& server = server_->server();
-  const Rng server_rng = server.rng();
-  std::vector<Rng> client_rngs;
-  for (std::size_t i = 0; i < n_clients(); ++i) client_rngs.push_back(client(i).rng());
-  server.set_training(false);
-  const auto shards = synthesize(std::max<std::size_t>(options_.health.probe_rows, 1));
-  server.set_training(true);
-  server.rng() = server_rng;
-  for (std::size_t i = 0; i < n_clients(); ++i) client(i).rng() = client_rngs[i];
-
-  // The real shards are shuffled every round, which keeps their marginals.
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const data::Table& real = client(i).local_table();
-    for (std::size_t c = 0; c < real.n_cols(); ++c) {
-      const data::ColumnSpec& spec = real.spec(c);
-      health.probes.push_back(obs::probe_column(
-          "client" + std::to_string(i) + "." + spec.name, real.column(c), shards[i].column(c),
-          spec.type == data::ColumnType::kCategorical ? spec.cardinality() : 0));
-    }
-  }
-}
-
-std::vector<data::Table> GtvTrainer::synthesize(std::size_t rows) {
-  GtvServer& server = server_->server();
-  const std::size_t p = server.select_cv_client();
-  const Tensor global_cv =
-      server.assemble_global_cv(p, client(p).sample_cv_original(rows), rows);
-  const auto slices = server.generator_forward(global_cv, /*retain_graph=*/false);
-  std::vector<data::Table> shards;
-  for (std::size_t i = 0; i < slices.size(); ++i) shards.push_back(client(i).synthesize(slices[i]));
-  return shards;
-}
-
 void GtvTrainer::train(
     std::size_t rounds, const std::function<void(std::size_t, const gan::RoundLosses&)>& on_round) {
-  for (std::size_t r = 0; r < rounds; ++r) {
-    gan::RoundLosses losses = train_round();
+  train(rounds, [&](std::size_t r, const gan::RoundLosses& losses, const obs::RoundTelemetry&) {
     if (on_round) on_round(r, losses);
-  }
+  });
 }
 
 void GtvTrainer::train(
@@ -274,45 +162,19 @@ void GtvTrainer::train(
         on_round) {
   for (std::size_t r = 0; r < rounds; ++r) {
     gan::RoundLosses losses = train_round();
-    if (on_round) on_round(r, losses, telemetry_.back());
+    if (on_round) on_round(r, losses, telemetry().back());
   }
 }
 
 std::vector<data::Table> GtvTrainer::sample_per_client(std::size_t rows) {
-  GtvServer& server = this->server();
-  const std::size_t n = clients_.size();
-  server.set_training(false);
-  std::vector<std::vector<data::Table>> chunks(n);
-  const std::size_t batch = std::max<std::size_t>(options_.gan.batch_size, 1);
-  for (std::size_t produced = 0; produced < rows;) {
-    const std::size_t take = std::min(batch, rows - produced);
-    auto shards = synthesize(take);
-    for (std::size_t i = 0; i < n; ++i) chunks[i].push_back(std::move(shards[i]));
-    produced += take;
-  }
-  server.set_training(true);
-
-  std::vector<data::Table> shards;
-  shards.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    data::Table shard(chunks[i].front().schema());
-    for (const auto& chunk : chunks[i]) {
-      for (std::size_t r = 0; r < chunk.n_rows(); ++r) {
-        std::vector<double> row(chunk.n_cols());
-        for (std::size_t c = 0; c < chunk.n_cols(); ++c) row[c] = chunk.cell(r, c);
-        shard.append_row(row);
-      }
-    }
-    shards.push_back(std::move(shard));
-  }
+  const serve::Checkpoint checkpoint = make_checkpoint();
+  Rng& publish = driver_->publish_stream();
+  std::vector<data::Table> shards = sample_shards(checkpoint, rows, publish.next_u64());
   // Secure publication: every client applies the same secret permutation so
   // the server cannot map generator inputs to published rows, while the
   // shards stay row-aligned with each other.
-  const std::uint64_t publish_seed = driver_->publish_stream().next_u64();
-  for (auto& shard : shards) {
-    Rng rng(publish_seed);
-    shard.permute_rows(rng.permutation(shard.n_rows()));
-  }
+  const std::vector<std::size_t> permutation = Rng(publish.next_u64()).permutation(rows);
+  for (auto& shard : shards) shard.permute_rows(permutation);
   return shards;
 }
 
@@ -322,32 +184,19 @@ data::Table GtvTrainer::sample(std::size_t rows) {
 
 serve::Checkpoint GtvTrainer::make_checkpoint() {
   serve::Checkpoint ckpt;
-  drive([&] { ckpt = driver_->collect_checkpoint(history_.size()); });
+  drive([&] { ckpt = driver_->collect_checkpoint(); });
   return ckpt;
 }
 
 serve::TrainCheckpoint GtvTrainer::make_train_checkpoint() {
   serve::TrainCheckpoint ckpt;
-  drive([&] { ckpt = driver_->collect_train_checkpoint(history_); });
+  drive([&] { ckpt = driver_->collect_train_checkpoint(); });
   return ckpt;
 }
 
 void GtvTrainer::restore_train_state(const serve::TrainCheckpoint& ckpt) {
+  driver_->check_restorable(ckpt);  // a rejected checkpoint leaves the fleet untouched
   drive([&] { driver_->restore(ckpt); });
-  history_ = ckpt.history;
-  // Keep telemetry_ parallel to history_ (train_round indexes rounds by
-  // telemetry_.size()). Pre-crash phase timings are gone; the skeleton
-  // records carry the round index and losses so reports stay coherent.
-  telemetry_.clear();
-  for (std::size_t r = 0; r < history_.size(); ++r) {
-    obs::RoundTelemetry t;
-    t.round = r;
-    t.d_loss = history_[r].d_loss;
-    t.g_loss = history_[r].g_loss;
-    t.gp = history_[r].gp;
-    t.wasserstein = history_[r].wasserstein;
-    telemetry_.push_back(std::move(t));
-  }
 }
 
 void GtvTrainer::save_train_checkpoint(const std::string& path) {

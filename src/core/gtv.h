@@ -26,14 +26,15 @@
 // Every cross-party tensor/index passes through one TrafficMeter
 // (traffic()), which both enforces serializability and records the
 // communication volume per link. The party threads start at the first call
-// that needs them (train_round, a checkpoint, restore, sampling, server()),
-// so traffic().set_transport() must come before it; that transport then
-// carries every frame. Between calls the party threads wait on their
-// command links for as long as the caller likes; the driver-side reads of
-// party state (health probes, sampling, client(), server()) happen only
-// while they wait. An exception on a party thread is rethrown by the call
-// that was driving the parties and leaves the trainer unusable. The
-// destructor finishes and joins every party thread.
+// that needs them (train_round, a checkpoint, restore, sampling), so
+// traffic().set_transport() must come before it; that transport then
+// carries every frame. The trainer learns party state only from the
+// parties' replies (round reports, health stats, probe scores, checkpoint
+// parts; sampling runs a serve::Synthesizer on the latter). Every call ends
+// with a reply from every party, after which the parties wait on their
+// command links for as long as the caller likes. An exception on a party
+// thread is rethrown by the call that was driving the parties and leaves
+// the trainer unusable. The destructor finishes and joins every party.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -57,21 +57,6 @@
 #include "serve/checkpoint.h"
 
 namespace gtv::core {
-
-// Thrown by train_round() when options.health.abort_on_fatal is set and a
-// fatal health alert fired. The round's history/telemetry records are fully
-// written before the throw, so callers can inspect what went wrong.
-class FatalHealthError : public std::runtime_error {
- public:
-  explicit FatalHealthError(obs::HealthAlert alert)
-      : std::runtime_error("fatal health alert: " + alert.rule + " (round " +
-                           std::to_string(alert.round) + ")"),
-        alert_(std::move(alert)) {}
-  const obs::HealthAlert& alert() const { return alert_; }
-
- private:
-  obs::HealthAlert alert_;
-};
 
 class GtvTrainer {
  public:
@@ -90,8 +75,9 @@ class GtvTrainer {
              const std::function<void(std::size_t, const gan::RoundLosses&,
                                       const obs::RoundTelemetry&)>& on_round);
 
-  // Secure publication (§3.1.7): per-client synthesis, then all clients
-  // apply the same secret shuffle before releasing. Shards stay row-aligned.
+  // Secure publication (§3.1.7): serve::Synthesizer rows from a checkpoint
+  // barrier, one secret shuffle for all clients, split into their shards
+  // (row-aligned). No party RNG is touched: sampling never changes training.
   std::vector<data::Table> sample_per_client(std::size_t rows);
   // Horizontal concatenation of the published shards.
   data::Table sample(std::size_t rows);
@@ -117,36 +103,37 @@ class GtvTrainer {
   void save_train_checkpoint(const std::string& path);
   void restore_train_state(const std::string& path);
   // Rounds fully completed so far (== history().size()).
-  std::size_t rounds_completed() const { return history_.size(); }
+  std::size_t rounds_completed() const { return history().size(); }
 
+  // Evaluation access to the parties, valid between calls. The server's
+  // model is built by the parties' setup handshake, so server() throws
+  // std::logic_error until a round has run.
   std::size_t n_clients() const { return clients_.size(); }
   GtvClient& client(std::size_t i) { return clients_.at(i)->client(); }
-  // Starts the party threads if needed: the server's model is built by its
-  // setup handshake.
   GtvServer& server();
   const net::TrafficMeter& traffic() const { return meter_; }
   net::TrafficMeter& traffic() { return meter_; }
-  const std::vector<gan::RoundLosses>& history() const { return history_; }
+  const std::vector<gan::RoundLosses>& history() const { return driver_->history(); }
   const GtvOptions& options() const { return options_; }
 
   // --- round telemetry (gtv::obs) ---------------------------------------------
-  // One record per completed train_round(), parallel to history(). The
-  // step phases are the ServerNode's, the shuffle the slowest client's, and
-  // the round time the driver's. The per-link byte/message deltas are
-  // exact: summed over all records they equal the TrafficMeter totals
+  // One record per completed round, parallel to history() (the DriverNode
+  // keeps both). The step phases are the ServerNode's, the shuffle the
+  // slowest client's, and the round time the driver's. The per-link deltas
+  // are exact: summed over all records they equal the TrafficMeter totals
   // accumulated by training.
-  const std::vector<obs::RoundTelemetry>& telemetry() const { return telemetry_; }
+  const std::vector<obs::RoundTelemetry>& telemetry() const { return driver_->telemetry(); }
   // Phase/loss/traffic sums over all recorded rounds (losses averaged).
-  obs::RoundTelemetry telemetry_snapshot() const { return obs::aggregate(telemetry_); }
+  obs::RoundTelemetry telemetry_snapshot() const { return obs::aggregate(telemetry()); }
   // JSON array with one object per round (RoundTelemetry::to_json).
-  std::string telemetry_json() const { return obs::telemetry_to_json(telemetry_); }
+  std::string telemetry_json() const { return obs::telemetry_to_json(telemetry()); }
 
   // --- training health (gtv::obs::health) -------------------------------------
-  // Health records are collected only when obs::health_enabled()
-  // (GTV_HEALTH=1); they ride in telemetry()[r].health. The callback fires
-  // once per alert, after the round's records are written; it is invoked
-  // regardless of severity. abort_on_fatal (GtvOptions::health) escalates
-  // fatal alerts to FatalHealthError.
+  // The DriverNode collects health records, as over TCP, only when
+  // obs::health_enabled() (GTV_HEALTH=1); they ride in telemetry()[r].health.
+  // The callback fires once per alert, whatever its severity, after the
+  // round's records are written. abort_on_fatal (GtvOptions::health)
+  // escalates fatal alerts to FatalHealthError, thrown by train_round().
   void set_on_alert(std::function<void(const obs::HealthAlert&)> cb) {
     on_alert_ = std::move(cb);
   }
@@ -171,21 +158,9 @@ class GtvTrainer {
   // Launches the party threads over the meter's current transport.
   void start_parties();
   // Runs one driver-side exchange with the parties (starting them first if
-  // needed), then waits until every party is parked on its command link
-  // again. A party's failure is rethrown in place of the error it caused
-  // on the driver side.
+  // needed), which ends once every party has replied. Any error stops the
+  // fleet; a party's failure is rethrown in place of the one it caused.
   void drive(const std::function<void()>& exchange);
-  // Health collection for the just-finished round (telemetry_.back()):
-  // harvests AdamStepStats from all four optimizers per party, runs the
-  // sample-quality probe every probe_interval rounds, feeds the rule
-  // engine, and dispatches alerts. Only called when obs::health_enabled().
-  void collect_health(const gan::RoundLosses& losses);
-  // Draws a small generated batch (set_training(false), RNG streams
-  // snapshotted/restored so training trajectories are unaffected) and fills
-  // `health.probes` with per-column marginal comparisons vs the real shards.
-  void run_probe(obs::RoundHealth& health);
-  // One generated batch of `rows`, as per-client shards (driver side).
-  std::vector<data::Table> synthesize(std::size_t rows);
 
   GtvOptions options_;
   net::TrafficMeter meter_;  // before the roles: they hold a reference to it
@@ -198,10 +173,6 @@ class GtvTrainer {
   std::exception_ptr party_failure_;  // the first exception a party thread threw
   data::Table initial_joined_;  // evaluation-only ground truth snapshot
   mutable PeerSelectionFrequencyAttack peer_attack_;  // rebuilt by peer_attack()
-  std::vector<gan::RoundLosses> history_;
-  std::vector<obs::RoundTelemetry> telemetry_;  // parallel to history_
-
-  obs::HealthMonitor health_monitor_;
   std::function<void(const obs::HealthAlert&)> on_alert_;
 };
 

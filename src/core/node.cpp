@@ -1,6 +1,8 @@
 #include "core/node.h"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -13,6 +15,7 @@
 #include "obs/thread_name.h"
 #include "obs/trace.h"
 #include "serve/engine.h"
+#include "tensor/bytes.h"
 
 namespace gtv::core {
 
@@ -40,6 +43,28 @@ std::vector<std::uint64_t> party_seeds(std::uint64_t seed, std::size_t n_clients
   return seeds;  // [0..n-1] clients, [n] server
 }
 
+std::vector<data::Table> sample_shards(const serve::Checkpoint& checkpoint, std::size_t rows,
+                                       std::uint64_t seed) {
+  const data::Table joined = serve::Synthesizer(checkpoint).sample(rows, seed);
+  std::vector<data::Table> shards;
+  std::size_t first = 0;
+  for (const serve::ClientPart& part : checkpoint.clients) {
+    std::vector<std::size_t> columns(part.encoder.schema_table().n_cols());
+    std::iota(columns.begin(), columns.end(), first);
+    first += columns.size();
+    shards.push_back(joined.select_columns(columns));
+  }
+  return shards;
+}
+
+const obs::HealthAlert* abort_alert(const obs::HealthOptions& options,
+                                    const obs::RoundHealth& health) {
+  const auto fatal = std::find_if(health.alerts.begin(), health.alerts.end(), [](const auto& a) {
+    return a.severity == obs::Severity::kFatal;
+  });
+  return options.abort_on_fatal && fatal != health.alerts.end() ? &*fatal : nullptr;
+}
+
 namespace {
 
 std::string client_name(std::size_t i) { return "client" + std::to_string(i); }
@@ -53,14 +78,74 @@ std::vector<std::size_t> recv_command(net::TrafficMeter& meter, const std::strin
   return cmd;
 }
 
-// Losses travel server -> driver as a 1x4 tensor in RoundLosses field order.
-Tensor pack_losses(float d_loss, float g_loss, float gp, float wasserstein) {
-  Tensor t(1, 4);
-  t(0, 0) = d_loss;
-  t(0, 1) = g_loss;
-  t(0, 2) = gp;
-  t(0, 3) = wasserstein;
-  return t;
+// Reports — losses, optimizer-step stats, phase timings, probe columns and
+// their scores — travel as flat f64 vectors, which hold every float loss
+// and integer count exactly:
+//   critic step      server -> driver  d_loss gp wasserstein | D^t stats
+//   generator step   server -> driver  g_loss | G^t stats | phases
+//   round ack        client -> driver  G^b stats | D^b stats | shuffle_ms
+//   kCmdProbe        driver -> client  the columns, one after another
+//   probe scores     client -> driver  jsd mean_drift std_drift per column
+void send_report(net::TrafficMeter& meter, const std::string& on,
+                 const std::vector<double>& values) {
+  std::vector<std::uint8_t> out;
+  out.reserve(values.size() * sizeof(double));
+  for (const double v : values) bytes::put_f64(out, v);
+  meter.send_payload(on, out);
+}
+
+// Throws WireError unless the frame holds exactly `size` values, so a
+// park poison (an empty frame) fails the receive like any other.
+std::vector<double> recv_report(net::TrafficMeter& meter, const std::string& on,
+                                std::size_t size) {
+  const std::vector<std::uint8_t> in = meter.recv_payload(on);
+  if (in.size() != size * sizeof(double)) {
+    throw net::WireError("node: expected a report of " + std::to_string(size) +
+                         " values on " + on);
+  }
+  bytes::Reader reader(in.data(), in.size(), "node report");
+  std::vector<double> values(size);
+  for (double& v : values) v = reader.f64("value");
+  return values;
+}
+
+// nn::AdamStepStats: collected, grad/weight/update norm, max |grad|, non-finites.
+constexpr std::size_t kStatsValues = 6;
+
+void put_stats(std::vector<double>& out, const nn::AdamStepStats& s) {
+  out.insert(out.end(), {s.collected ? 1.0 : 0.0, s.grad_norm, s.weight_norm, s.update_norm,
+                         s.grad_max_abs, static_cast<double>(s.nonfinite)});
+}
+
+// Health tier 1: one module record from stats at `v`, if they were collected.
+void add_module(obs::RoundHealth& health, std::string module, const double* v) {
+  if (v[0] == 0.0) return;
+  health.modules.push_back(
+      {std::move(module), v[1], v[2], v[3], v[4], static_cast<std::uint64_t>(v[5])});
+}
+
+// The server's phase timings and tensor-memory peaks, in wire order.
+using Round = obs::RoundTelemetry;
+using Peaks = Round::PhasePeaks;
+constexpr double Round::*kPhaseMs[] = {
+    &Round::cv_generation_ms,   &Round::fake_forward_ms,     &Round::real_forward_ms,
+    &Round::critic_backward_ms, &Round::gradient_penalty_ms, &Round::generator_step_ms};
+constexpr std::uint64_t Peaks::*kPhasePeaks[] = {
+    &Peaks::cv_generation,   &Peaks::fake_forward,     &Peaks::real_forward,
+    &Peaks::critic_backward, &Peaks::gradient_penalty, &Peaks::generator_step};
+constexpr std::size_t kPhaseValues = std::size(kPhaseMs) + std::size(kPhasePeaks);
+
+void put_phases(std::vector<double>& out, const Round& t) {
+  for (const auto ms : kPhaseMs) out.push_back(t.*ms);
+  for (const auto peak : kPhasePeaks) out.push_back(static_cast<double>(t.mem_peak_bytes.*peak));
+}
+
+void get_phases(const double* v, Round& t) {  // `total` is the largest phase peak
+  for (const auto ms : kPhaseMs) t.*ms = *v++;
+  for (const auto peak : kPhasePeaks) {
+    t.mem_peak_bytes.*peak = static_cast<std::uint64_t>(*v++);
+    t.mem_peak_bytes.total = std::max(t.mem_peak_bytes.total, t.mem_peak_bytes.*peak);
+  }
 }
 
 // One phase at a time: a trace span, a gtv.phase.<name>_ms histogram
@@ -105,14 +190,6 @@ ServerNode::ServerNode(NodeConfig config, std::vector<std::size_t> g_widths,
 void ServerNode::set_attack_layout(std::vector<ServerInferenceAttack::CvBit> bits) {
   attack_.set_layout(std::move(bits));
   curious_ = true;
-}
-
-obs::RoundTelemetry ServerNode::take_phases() {
-  obs::RoundTelemetry out = std::exchange(phases_, obs::RoundTelemetry{});
-  auto& peaks = out.mem_peak_bytes;
-  peaks.total = std::max({peaks.cv_generation, peaks.fake_forward, peaks.real_forward,
-                          peaks.critic_backward, peaks.gradient_penalty, peaks.generator_step});
-  return out;
 }
 
 void ServerNode::run() {
@@ -189,9 +266,10 @@ void ServerNode::run() {
 }
 
 void ServerNode::park_round() {
-  // A peer vanished mid-round. Drop half-finished split state; the driver
-  // will replay the round from the last coordinated checkpoint.
+  // A peer vanished mid-round. Drop half-finished split state and timings;
+  // the driver will replay the round from the last coordinated checkpoint.
   server_->clear_pending();
+  phases_ = obs::RoundTelemetry{};
   // Poke everyone still blocked on us: an empty payload fails whatever
   // recv consumes it (indices and tensors both reject it) without waiting
   // out the retry budget. Anything left queued is discarded at restore.
@@ -336,9 +414,10 @@ void ServerNode::critic_step(std::size_t batch) {
     status_->gp.store(gp.value()(0, 0), std::memory_order_relaxed);
     status_->wasserstein.store(-critic.value()(0, 0), std::memory_order_relaxed);
   }
-  meter_.send_tensor("server->driver",
-                     pack_losses(loss.value()(0, 0), 0.0f, gp.value()(0, 0),
-                                 -critic.value()(0, 0)));
+  backward.stop();  // the round's timings are final before any reply
+  std::vector<double> report = {loss.value()(0, 0), gp.value()(0, 0), -critic.value()(0, 0)};
+  put_stats(report, server_->adam_discriminator().last_step_stats());
+  send_report(meter_, "server->driver", report);
 }
 
 void ServerNode::generator_step(std::size_t batch) {
@@ -385,7 +464,11 @@ void ServerNode::generator_step(std::size_t batch) {
   if (status_ != nullptr) {
     status_->g_loss.store(adv.value()(0, 0), std::memory_order_relaxed);
   }
-  meter_.send_tensor("server->driver", pack_losses(0.0f, adv.value()(0, 0), 0.0f, 0.0f));
+  phase.stop();
+  std::vector<double> report = {adv.value()(0, 0)};
+  put_stats(report, server_->adam_generator().last_step_stats());
+  put_phases(report, std::exchange(phases_, obs::RoundTelemetry{}));
+  send_report(meter_, "server->driver", report);
 }
 
 // --- ClientNode ------------------------------------------------------------------
@@ -435,15 +518,23 @@ void ClientNode::run() {
           break;
         }
         if (status_ != nullptr) status_->round.fetch_add(1, std::memory_order_relaxed);
+        if (!config_.options.training_with_shuffling) ack_round(0.0);
         break;
       case kCmdShuffle: {
         set_phase(obs::agg::Phase::kShuffle);
         static obs::Histogram& hist =
             obs::MetricsRegistry::instance().histogram("gtv.phase.shuffle_ms");
-        obs::ScopedTimer span("shuffle", &hist, &shuffle_ms_, /*always=*/true);
-        client_->shuffle_local_data(static_cast<std::uint64_t>(cmd.at(1)));
+        double shuffle_ms = 0.0;
+        {
+          obs::ScopedTimer span("shuffle", &hist, &shuffle_ms, /*always=*/true);
+          client_->shuffle_local_data(static_cast<std::uint64_t>(cmd.at(1)));
+        }
+        ack_round(shuffle_ms);
         break;
       }
+      case kCmdProbe:
+        score_probe(cmd.at(1));
+        break;
       case kCmdCheckpointTrain:
         meter_.send_payload(ack_link, serve::encode_client_train_part(
                                           capture_client_train_state(*client_)));
@@ -482,6 +573,31 @@ void ClientNode::restore_train() {
       serve::decode_client_train_part(meter_.recv_payload(link("driver", name)));
   restore_client_train_state(*client_, part);
   meter_.send_indices(link(name, "driver"), {kCmdRestore});
+}
+
+void ClientNode::ack_round(double shuffle_ms) {
+  std::vector<double> report;
+  put_stats(report, client_->adam_generator().last_step_stats());
+  put_stats(report, client_->adam_discriminator().last_step_stats());
+  report.push_back(shuffle_ms);
+  send_report(meter_, link(client_name(id_), "driver"), report);
+}
+
+void ClientNode::score_probe(std::size_t rows) {
+  const data::Table& real = client_->local_table();
+  const std::string name = client_name(id_);
+  const std::vector<double> fake = recv_report(meter_, link("driver", name), rows * real.n_cols());
+  // The real shard is shuffled every round, which keeps its marginals.
+  std::vector<double> scores;
+  for (std::size_t c = 0; c < real.n_cols(); ++c) {
+    const data::ColumnSpec& spec = real.spec(c);
+    const auto column = fake.begin() + static_cast<std::ptrdiff_t>(c * rows);
+    const obs::ColumnProbe probe = obs::probe_column(
+        spec.name, real.column(c), std::vector<double>(column, column + rows),
+        spec.type == data::ColumnType::kCategorical ? spec.cardinality() : 0);
+    scores.insert(scores.end(), {probe.jsd, probe.mean_drift, probe.std_drift});
+  }
+  send_report(meter_, link(name, "driver"), scores);
 }
 
 void ClientNode::critic_step(std::size_t batch) {
@@ -562,7 +678,8 @@ DriverNode::DriverNode(NodeConfig config, net::TrafficMeter* shared_meter)
     : NodeRole(shared_meter),
       config_(std::move(config)),
       shuffle_stream_(config_.options.shuffle_seed),
-      publish_stream_(config_.options.shuffle_seed ^ 0x9e3779b97f4a7c15ULL) {
+      publish_stream_(config_.options.shuffle_seed ^ 0x9e3779b97f4a7c15ULL),
+      health_monitor_(config_.options.health.thresholds) {
   config_.validate();
 }
 
@@ -585,7 +702,6 @@ std::vector<gan::RoundLosses> DriverNode::run() {
   obs::set_current_thread_name("gtv-driver");
   if (status_ != nullptr) status_->rounds_total.store(config_.rounds, std::memory_order_relaxed);
   set_phase(obs::agg::Phase::kSetup);
-  std::vector<gan::RoundLosses> history;
   if (!resume_path_.empty()) {
     last_train_ckpt_ = std::make_unique<serve::TrainCheckpoint>(
         serve::load_train_checkpoint(resume_path_));
@@ -593,20 +709,23 @@ std::vector<gan::RoundLosses> DriverNode::run() {
       throw serve::CheckpointError("train checkpoint is past the run's last round");
     }
     restore(*last_train_ckpt_);
-    history = last_train_ckpt_->history;
-    resumed_from_ = history.size();
+    resumed_from_ = history_.size();
   }
-  while (history.size() < config_.rounds) {
+  for (std::size_t i = 0; i < config_.n_clients; ++i) {
+    generations_.push_back(meter_.transport().conn_generation(client_name(i)));
+  }
+  const obs::HealthAlert* fatal = nullptr;
+  while (history_.size() < config_.rounds && fatal == nullptr) {
     try {
-      const gan::RoundLosses losses = train_round();
-      history.push_back(losses);
+      const obs::RoundTelemetry& round = train_round();
       if (status_ != nullptr) {
-        status_->set_losses(losses.d_loss, losses.g_loss, losses.gp, losses.wasserstein);
-        status_->set_round(history.size());
+        status_->set_losses(round.d_loss, round.g_loss, round.gp, round.wasserstein);
+        status_->set_round(history_.size());
       }
-      if (train_ckpt_every_ > 0 && history.size() % train_ckpt_every_ == 0) {
-        auto ckpt =
-            std::make_unique<serve::TrainCheckpoint>(collect_train_checkpoint(history));
+      fatal = abort_alert(config_.options.health, round.health);
+      if (fatal == nullptr && train_ckpt_every_ > 0 &&
+          history_.size() % train_ckpt_every_ == 0) {
+        auto ckpt = std::make_unique<serve::TrainCheckpoint>(collect_train_checkpoint());
         if (!train_ckpt_path_.empty()) serve::save_train_checkpoint(*ckpt, train_ckpt_path_);
         // Kept in memory as the crash-recovery replay point: recover() must
         // not depend on re-reading a file the crash may have raced.
@@ -616,35 +735,48 @@ std::vector<gan::RoundLosses> DriverNode::run() {
       // A party died mid-round. Without a coordinated checkpoint there is
       // nothing to replay from — surface the failure as before.
       if (last_train_ckpt_ == nullptr) throw;
-      history = recover();
+      recover();
       ++recoveries_;
     }
   }
+  if (fatal != nullptr) {
+    finish();
+    throw FatalHealthError(*fatal);
+  }
   if (!checkpoint_out_.empty()) {
-    serve::Checkpoint ckpt = collect_checkpoint(config_.rounds);
+    serve::Checkpoint ckpt = collect_checkpoint();
     ckpt.model_hash = serve::model_hash_of(ckpt);
     checkpoint_hash_ = ckpt.model_hash;
     serve::save_checkpoint(ckpt, checkpoint_out_);
   }
   finish();
   set_phase(obs::agg::Phase::kDone);
-  return history;
+  return history_;
 }
 
-gan::RoundLosses DriverNode::train_round() {
+obs::RoundTelemetry& DriverNode::train_round() {
+  static obs::Histogram& round_hist =
+      obs::MetricsRegistry::instance().histogram("gtv.phase.round_ms");
   const std::size_t batch = std::min(config_.options.gan.batch_size, config_.train_rows);
-  gan::RoundLosses losses;
+  obs::RoundTelemetry t;
+  t.round = history_.size();
+  std::optional<obs::ScopedTimer> round_span(std::in_place, "round", &round_hist, &t.total_ms,
+                                             /*always=*/true);
+  std::vector<double> critic(3 + kStatsValues, 0.0);
   for (std::size_t step = 0; step < config_.options.gan.d_steps_per_round; ++step) {
     set_phase(obs::agg::Phase::kCritic);
     broadcast(kCmdCriticStep, batch, /*include_server=*/true);
-    const Tensor packed = meter_.recv_tensor("server->driver");
-    losses.d_loss = packed(0, 0);
-    losses.gp = packed(0, 2);
-    losses.wasserstein = packed(0, 3);
+    critic = recv_report(meter_, "server->driver", critic.size());
   }
+  t.d_loss = static_cast<float>(critic[0]);
+  t.gp = static_cast<float>(critic[1]);
+  t.wasserstein = static_cast<float>(critic[2]);
   set_phase(obs::agg::Phase::kGenerator);
   broadcast(kCmdGeneratorStep, batch, /*include_server=*/true);
-  losses.g_loss = meter_.recv_tensor("server->driver")(0, 1);
+  const std::vector<double> generator =
+      recv_report(meter_, "server->driver", 1 + kStatsValues + kPhaseValues);
+  t.g_loss = static_cast<float>(generator[0]);
+  get_phases(&generator[1 + kStatsValues], t);
 
   if (config_.options.training_with_shuffling) {
     // Step 23. The shuffle seed is the clients' shared secret: the driver
@@ -652,14 +784,62 @@ gan::RoundLosses DriverNode::train_round() {
     const std::uint64_t round_seed = shuffle_stream_.next_u64();
     broadcast(kCmdShuffle, static_cast<std::size_t>(round_seed), /*include_server=*/false);
   }
-  return losses;
+  // The discriminator stats describe the round's last critic step, the
+  // generator stats its single generator step (as d_loss / g_loss do).
+  add_module(t.health, "server.G", &generator[1]);
+  add_module(t.health, "server.D", &critic[3]);
+  for (std::size_t i = 0; i < config_.n_clients; ++i) {
+    const std::vector<double> ack =
+        recv_report(meter_, link(client_name(i), "driver"), 2 * kStatsValues + 1);
+    add_module(t.health, client_name(i) + ".G", &ack[0]);
+    add_module(t.health, client_name(i) + ".D", &ack[kStatsValues]);
+    // The clients shuffle concurrently; the slowest one gates the next round.
+    t.shuffle_ms = std::max(t.shuffle_ms, ack[2 * kStatsValues]);
+  }
+
+  if (obs::health_enabled()) {
+    t.health.collected = true;
+    const obs::HealthOptions& health = config_.options.health;
+    // Tier 3 collection (rule evaluation for it is warmup-gated downstream).
+    if (health.probe_interval > 0 && (t.round + 1) % health.probe_interval == 0) {
+      probe(t.health);
+    }
+    health_monitor_.evaluate(t.round, t.d_loss, t.g_loss, t.gp, t.wasserstein, t.health);
+  }
+  round_span.reset();
+  history_.push_back({t.d_loss, t.g_loss, t.gp, t.wasserstein});
+  telemetry_.push_back(std::move(t));
+  return telemetry_.back();
 }
 
-serve::Checkpoint DriverNode::collect_checkpoint(std::size_t rounds) {
+void DriverNode::probe(obs::RoundHealth& health) {
+  const std::size_t rows = std::max<std::size_t>(config_.options.health.probe_rows, 1);
+  const std::vector<data::Table> shards = sample_shards(collect_checkpoint(), rows, config_.seed);
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const std::string cmd = link("driver", client_name(i));
+    std::vector<double> columns;
+    for (std::size_t c = 0; c < shards[i].n_cols(); ++c) {
+      columns.insert(columns.end(), shards[i].column(c).begin(), shards[i].column(c).end());
+    }
+    meter_.send_indices(cmd, {kCmdProbe, rows});
+    send_report(meter_, cmd, columns);
+  }
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const std::size_t cols = shards[i].n_cols();
+    const std::vector<double> scores =
+        recv_report(meter_, link(client_name(i), "driver"), 3 * cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+      health.probes.push_back({client_name(i) + "." + shards[i].spec(c).name, scores[3 * c],
+                               scores[3 * c + 1], scores[3 * c + 2]});
+    }
+  }
+}
+
+serve::Checkpoint DriverNode::collect_checkpoint() {
   broadcast(kCmdCheckpoint, 0, /*include_server=*/true);
   serve::Checkpoint ckpt;
   ckpt.seed = config_.seed;
-  ckpt.rounds = rounds;
+  ckpt.rounds = history_.size();
   serve::ServerPart server_part =
       serve::decode_server_part(meter_.recv_payload("server->driver"));
   ckpt.noise_dim = server_part.noise_dim;
@@ -672,15 +852,14 @@ serve::Checkpoint DriverNode::collect_checkpoint(std::size_t rounds) {
   return ckpt;
 }
 
-serve::TrainCheckpoint DriverNode::collect_train_checkpoint(
-    const std::vector<gan::RoundLosses>& history) {
+serve::TrainCheckpoint DriverNode::collect_train_checkpoint() {
   broadcast(kCmdCheckpointTrain, 0, /*include_server=*/true);
   serve::TrainCheckpoint ckpt;
   ckpt.seed = config_.seed;
-  ckpt.round = history.size();
+  ckpt.round = history_.size();
   ckpt.shuffle_stream = shuffle_stream_.state();
   ckpt.publish_stream = publish_stream_.state();
-  ckpt.history = history;
+  ckpt.history = history_;
   ckpt.server = serve::decode_server_train_part(meter_.recv_payload("server->driver"));
   for (std::size_t i = 0; i < config_.n_clients; ++i) {
     ckpt.clients.push_back(serve::decode_client_train_part(
@@ -689,7 +868,7 @@ serve::TrainCheckpoint DriverNode::collect_train_checkpoint(
   return ckpt;
 }
 
-void DriverNode::restore(const serve::TrainCheckpoint& ckpt) {
+void DriverNode::check_restorable(const serve::TrainCheckpoint& ckpt) const {
   if (ckpt.seed != config_.seed) {
     throw serve::CheckpointError("train checkpoint seed " + std::to_string(ckpt.seed) +
                                  " != run seed " + std::to_string(config_.seed));
@@ -702,6 +881,10 @@ void DriverNode::restore(const serve::TrainCheckpoint& ckpt) {
   if (ckpt.history.size() != ckpt.round) {
     throw serve::CheckpointError("train checkpoint history/round mismatch");
   }
+}
+
+void DriverNode::restore(const serve::TrainCheckpoint& ckpt) {
+  check_restorable(ckpt);
   const auto round_arg = static_cast<std::size_t>(ckpt.round);
   meter_.send_indices("driver->server", {kCmdRestore, round_arg});
   meter_.send_payload("driver->server", serve::encode_server_train_part(ckpt.server));
@@ -716,6 +899,18 @@ void DriverNode::restore(const serve::TrainCheckpoint& ckpt) {
   }
   shuffle_stream_.set_state(ckpt.shuffle_stream);
   publish_stream_.set_state(ckpt.publish_stream);
+  history_ = ckpt.history;
+  // The checkpointed rounds' timings are gone; bare records keep the round
+  // index and losses so reports stay coherent.
+  telemetry_.assign(history_.size(), {});
+  for (std::size_t r = 0; r < history_.size(); ++r) {
+    obs::RoundTelemetry& t = telemetry_[r];
+    t.round = r;
+    t.d_loss = history_[r].d_loss;
+    t.g_loss = history_[r].g_loss;
+    t.gp = history_[r].gp;
+    t.wasserstein = history_[r].wasserstein;
+  }
 }
 
 void DriverNode::finish() {
@@ -726,7 +921,7 @@ void DriverNode::finish() {
   }
 }
 
-std::vector<gan::RoundLosses> DriverNode::recover() {
+void DriverNode::recover() {
   net::Transport& transport = meter_.transport();
   // Short probe first: a live party answers immediately, so only genuinely
   // dead peers are made to wait out the rejoin window.
@@ -737,7 +932,13 @@ std::vector<gan::RoundLosses> DriverNode::recover() {
     throw net::TransportError("DriverNode: server died; only client crashes are recoverable");
   }
   for (std::size_t i = 0; i < config_.n_clients; ++i) {
-    if (!transport.wait_for_live_peer(client_name(i), 200)) dead.push_back(i);
+    // A relaunch may already have reconnected (and pass the liveness
+    // probe): a replaced connection counts as a death too. Generation
+    // second, so a reconnect during the probe is still seen.
+    const bool live = transport.wait_for_live_peer(client_name(i), 200);
+    if (!live || transport.conn_generation(client_name(i)) != generations_.at(i)) {
+      dead.push_back(i);
+    }
   }
   for (std::size_t i : dead) {
     const std::string peer = client_name(i);
@@ -745,6 +946,7 @@ std::vector<gan::RoundLosses> DriverNode::recover() {
       throw net::TransportError("DriverNode: " + peer +
                                 " did not rejoin within the wait window");
     }
+    generations_[i] = transport.conn_generation(peer);
     // The restarted process starts every link at seq 0; forget the old
     // sequence bookkeeping on both directions of its driver links. (The
     // server resets its own data links to the rejoiner during kCmdRestore.)
@@ -759,7 +961,6 @@ std::vector<gan::RoundLosses> DriverNode::recover() {
     transport.discard_queued(link(client_name(i), "driver"));
   }
   restore(*last_train_ckpt_);
-  return last_train_ckpt_->history;
 }
 
 void DriverNode::await_restore_ack(const std::string& ack_link) {

@@ -18,6 +18,13 @@
 // the round's critical path, so the server times the paper's phases
 // (gtv.phase.*_ms histograms, trace spans, tensor-memory peaks).
 //
+// Frames are the only way the driver learns party state. Every exchange
+// ends with a reply from every party, sent after its last state change,
+// so once the driver holds all replies the parties are idle. The replies
+// carry the round reports (optimizer stats, phase timings, shuffle time)
+// the driver's health rules run on; its sample-quality probe has the
+// clients score generated columns (kCmdProbe), so no raw column reaches it.
+//
 // Elastic federation: with set_train_checkpoint the driver periodically
 // runs a kCmdCheckpointTrain barrier — every party ships its training
 // state (core/resume.h) to the driver, which writes one atomic GTVT
@@ -34,6 +41,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -43,18 +52,38 @@
 #include "core/server.h"
 #include "gan/ctabgan.h"
 #include "net/wire.h"
+#include "obs/health.h"
 #include "obs/snapshot.h"
 #include "obs/telemetry.h"
 #include "serve/checkpoint.h"
 
 namespace gtv::core {
 
+// Thrown when options.health.abort_on_fatal is set and a round raised a
+// fatal health alert, after the round's records are written.
+class FatalHealthError : public std::runtime_error {
+ public:
+  explicit FatalHealthError(obs::HealthAlert alert)
+      : std::runtime_error("fatal health alert: " + alert.rule + " (round " +
+                           std::to_string(alert.round) + ")"),
+        alert_(std::move(alert)) {}
+  const obs::HealthAlert& alert() const { return alert_; }
+
+ private:
+  obs::HealthAlert alert_;
+};
+
 // Step commands broadcast by the driver as {code, arg}: batch size for the
 // steps, the round's secret shuffle seed for kShuffle (clients only).
+// After its last command of a round (the shuffle when shuffling is on,
+// else the generator step) each client sends the driver its round ack.
 // kCmdCheckpoint / kCmdCheckpointTrain make every party ship its serving /
 // training part to the driver, which assembles the container without
 // seeing raw data. kCmdRestore {code, round} is followed by the party's
 // train part; the party resets its data links, restores, and acks.
+// kCmdProbe {code, rows} (clients only) is followed by `rows` generated
+// rows of the client's columns; the client scores them against its own
+// shard and replies with three scalars per column.
 enum NodeCommand : std::size_t {
   kCmdCriticStep = 1,
   kCmdGeneratorStep = 2,
@@ -63,6 +92,7 @@ enum NodeCommand : std::size_t {
   kCmdCheckpoint = 5,
   kCmdCheckpointTrain = 6,
   kCmdRestore = 7,
+  kCmdProbe = 8,
 };
 
 struct NodeConfig {
@@ -80,6 +110,15 @@ struct NodeConfig {
 // Seeds per party: clients in index order, then the server, so every
 // process agrees without talking.
 std::vector<std::uint64_t> party_seeds(std::uint64_t seed, std::size_t n_clients);
+
+// `rows` rows drawn by serve::Synthesizer from `checkpoint` with `seed`,
+// split into the clients' shards (row-aligned, client order).
+std::vector<data::Table> sample_shards(const serve::Checkpoint& checkpoint, std::size_t rows,
+                                       std::uint64_t seed);
+
+// The round's first fatal alert if `options.abort_on_fatal`, else null.
+const obs::HealthAlert* abort_alert(const obs::HealthOptions& options,
+                                    const obs::RoundHealth& health);
 
 // What the roles share: the TrafficMeter their frames are charged to (their
 // own, or one an in-process fleet passes in and keeps alive), the live
@@ -132,11 +171,6 @@ class ServerNode : public NodeRole {
   // The GtvServer, built by run() when the setup handshake completes.
   GtvServer& server() { return *server_; }
 
-  // Phase durations and tensor-memory peaks of the steps served since the
-  // last call; `mem_peak_bytes.total` is the largest phase peak. The driver
-  // fills in the rest of the round's record.
-  obs::RoundTelemetry take_phases();
-
   // Performs the setup handshake (clients report their CV widths), then
   // serves driver commands until kCmdFinish.
   void run();
@@ -158,7 +192,7 @@ class ServerNode : public NodeRole {
   std::unique_ptr<GtvServer> server_;
   ServerInferenceAttack attack_;
   bool curious_ = false;  // a CV-bit layout was given
-  obs::RoundTelemetry phases_;
+  obs::RoundTelemetry phases_;  // the round's phase timings so far
 };
 
 class ClientNode : public NodeRole {
@@ -172,8 +206,6 @@ class ClientNode : public NodeRole {
   void set_rejoin(bool rejoin) { rejoin_ = rejoin; }
 
   GtvClient& client() { return *client_; }
-  // Milliseconds spent shuffling since the last call.
-  double take_shuffle_ms() { return std::exchange(shuffle_ms_, 0.0); }
   // Peer-to-peer index sharing: the co-selections this client observed as
   // a receiving peer (empty under IndexSharing::kServer).
   const PeerSelectionFrequencyAttack& peer_attack() const { return peer_attack_; }
@@ -186,13 +218,16 @@ class ClientNode : public NodeRole {
   void critic_step(std::size_t batch);
   void generator_step(std::size_t batch);
   void restore_train();
+  // The round ack: this client's optimizer stats and shuffle time.
+  void ack_round(double shuffle_ms);
+  // kCmdProbe: score `rows` generated rows against the local shard.
+  void score_probe(std::size_t rows);
 
   NodeConfig config_;
   std::size_t id_;
   std::size_t g_width_ = 0;  // this client's split-generator slice width
   std::unique_ptr<GtvClient> client_;
   bool rejoin_ = false;
-  double shuffle_ms_ = 0.0;
   PeerSelectionFrequencyAttack peer_attack_;
 };
 
@@ -223,20 +258,31 @@ class DriverNode : public NodeRole {
   std::size_t recoveries() const { return recoveries_; }
 
   // Runs config.rounds rounds (with the barriers and recovery requested
-  // above), the checkpoint if requested, then kCmdFinish. Returns one
-  // RoundLosses per round.
+  // above), the checkpoint if requested, then kCmdFinish. Returns
+  // history(). With options.health.abort_on_fatal a fatal alert finishes
+  // the parties, then throws FatalHealthError.
   std::vector<gan::RoundLosses> run();
 
+  // Completed rounds: losses and round records (a restored checkpoint's
+  // rounds keep their losses in bare records).
+  const std::vector<gan::RoundLosses>& history() const { return history_; }
+  const std::vector<obs::RoundTelemetry>& telemetry() const { return telemetry_; }
+
   // --- the exchanges run() is made of; GtvTrainer calls them directly ---
-  // d_steps critic steps, the generator step, then the clients' shuffle.
-  gan::RoundLosses train_round();
+  // The next round: d_steps critic steps, the generator step, the clients'
+  // shuffle and round acks, then under obs::health_enabled() the health
+  // rules, with a probe every probe_interval rounds. Appends to history()
+  // and returns the round's record; the caller may add its link deltas.
+  obs::RoundTelemetry& train_round();
   // kCmdCheckpoint: the assembled, unstamped serving container.
-  serve::Checkpoint collect_checkpoint(std::size_t rounds_completed);
+  serve::Checkpoint collect_checkpoint();
   // kCmdCheckpointTrain: every party's part plus the driver's streams.
-  serve::TrainCheckpoint collect_train_checkpoint(const std::vector<gan::RoundLosses>& history);
+  serve::TrainCheckpoint collect_train_checkpoint();
+  // Throws CheckpointError unless the checkpoint fits this run (seed,
+  // party count) and its history its round.
+  void check_restorable(const serve::TrainCheckpoint& checkpoint) const;
   // kCmdRestore: pushes the parts, awaits the acks, restores the driver's
-  // streams. Throws CheckpointError, before sending anything, when the
-  // seed or party count differ or the history disagrees with the round.
+  // streams and history. Runs check_restorable() before sending anything.
   void restore(const serve::TrainCheckpoint& checkpoint);
   // kCmdFinish: every party acks and returns from run().
   void finish();
@@ -245,10 +291,12 @@ class DriverNode : public NodeRole {
 
  private:
   void broadcast(NodeCommand code, std::size_t arg, bool include_server);
-  // Crash recovery: identify dead peers, wait for their --rejoin relaunch,
-  // reset their links, then restore the last train checkpoint. Returns its
-  // history.
-  std::vector<gan::RoundLosses> recover();
+  // The sample-quality probe: probe_rows rows from a serve::Synthesizer on
+  // a fresh checkpoint, scored by each client (kCmdProbe) into `health`.
+  void probe(obs::RoundHealth& health);
+  // Crash recovery: find dead clients (unreachable, or reconnected since last
+  // admitted), await their --rejoin relaunch, reset their links, restore.
+  void recover();
   // Reads index frames off `link` until one equals {kCmdRestore}, skipping
   // frames left over from the aborted round (stale losses, park poison).
   void await_restore_ack(const std::string& ack_link);
@@ -265,6 +313,10 @@ class DriverNode : public NodeRole {
   std::size_t resumed_from_ = 0;
   std::size_t recoveries_ = 0;
   std::unique_ptr<serve::TrainCheckpoint> last_train_ckpt_;
+  std::vector<std::uint64_t> generations_;  // per client: the connection last admitted
+  obs::HealthMonitor health_monitor_;
+  std::vector<gan::RoundLosses> history_;
+  std::vector<obs::RoundTelemetry> telemetry_;  // parallel to history_
 };
 
 }  // namespace gtv::core

@@ -136,12 +136,6 @@ Var GtvServer::critic_top(const std::vector<Var>& client_logits, const Var& glob
   return d_top_->forward(ag::concat_cols(parts));
 }
 
-void GtvServer::set_training(bool training) {
-  g_top_->set_training(training);
-  d_top_->set_training(training);
-  if (d_s_) d_s_->set_training(training);
-}
-
 std::size_t GtvServer::discriminator_parameter_count() {
   return d_top_->parameter_count() + (d_s_ ? d_s_->parameter_count() : 0);
 }

@@ -59,8 +59,6 @@ class GtvServer {
   void zero_grad_discriminator() { adam_d_->zero_grad(); }
   void step_discriminator() { adam_d_->step(); }
 
-  void set_training(bool training);
-
   // Optimizer handles for health monitoring (last_step_stats of G^t / D^t+D^s).
   nn::Adam& adam_generator() { return *adam_g_; }
   nn::Adam& adam_discriminator() { return *adam_d_; }

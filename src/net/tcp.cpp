@@ -526,6 +526,7 @@ std::vector<std::uint8_t> TcpTransport::fetch_frame(const std::string& link,
   };
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms > 0 ? timeout_ms : 0);
+  const std::uint64_t generation = src.empty() ? 0 : conn_generation(src);
   // A closed source conn usually means the peer died, and waiters must fail
   // fast instead of burning the full retry budget. But a reconnecting peer
   // (telemetry collector, crash rejoin) lands its replacement conn a few
@@ -548,6 +549,11 @@ std::vector<std::uint8_t> TcpTransport::fetch_frame(const std::string& link,
       seen_dead = false;
     }
     if (timeout_ms <= 0) throw TimeoutError("tcp: no frame on " + link);
+    // A source that reconnected meanwhile is a restarted process: it will
+    // never send what this wait expects.
+    if (generation != 0 && conn_generation(src) != generation) {
+      throw TransportError("tcp: peer '" + src + "' restarted while waiting on " + link);
+    }
     // Wake periodically to re-check peer liveness.
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) throw TimeoutError("tcp: no frame on " + link);

@@ -112,7 +112,7 @@ class TcpTransport : public Transport {
 
   // How many connections `peer` has established with us (1 = original,
   // each reconnect after a drop increments). 0 if never connected.
-  std::uint64_t conn_generation(const std::string& peer) const;
+  std::uint64_t conn_generation(const std::string& peer) const override;
 
   std::string kind() const override { return "tcp"; }
   void deliver_frame(const std::string& link,

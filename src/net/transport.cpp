@@ -148,6 +148,13 @@ void Transport::send(const std::string& link, const std::vector<std::uint8_t>& p
 }
 
 std::vector<std::uint8_t> Transport::recv(const std::string& link, int timeout_ms) {
+  const std::string source = link.substr(0, link.find("->"));
+  if (const std::uint64_t generation = conn_generation(source); generation != 0) {
+    std::lock_guard<std::mutex> lock(seq_mu_);
+    if (recv_source_.emplace(link, generation).first->second != generation) {
+      throw TransportError("transport: " + source + " restarted since " + link + " was reset");
+    }
+  }
   for (;;) {
     std::vector<std::uint8_t> raw = fetch_frame(link, timeout_ms);
     Frame frame = decode_frame(raw.data(), raw.size());  // may throw Corrupt/WireError
@@ -155,13 +162,14 @@ std::vector<std::uint8_t> Transport::recv(const std::string& link, int timeout_m
       throw WireError("transport: misrouted frame for " + frame.link + " on " + link);
     }
     std::unique_lock<std::mutex> lock(seq_mu_);
-    std::uint64_t& expected = recv_expected_[link];
-    if (frame.seq < expected) {
-      // Older than a message already delivered on this link.
+    const auto expected = recv_expected_.find(link);
+    if (expected == recv_expected_.end() ? frame.seq != 0 : frame.seq < expected->second) {
+      // Older than a message already delivered on this link, or, on a link
+      // that delivered nothing since its reset, from an earlier sender.
       ++stale_dropped_;
       continue;
     }
-    expected = frame.seq + 1;
+    recv_expected_[link] = frame.seq + 1;
     return std::move(frame.payload);
   }
 }
@@ -175,6 +183,7 @@ void Transport::reset_link(const std::string& link) {
   std::lock_guard<std::mutex> lock(seq_mu_);
   send_seq_.erase(link);
   recv_expected_.erase(link);
+  recv_source_.erase(link);
 }
 
 // --- InProcTransport -------------------------------------------------------------

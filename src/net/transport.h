@@ -138,7 +138,12 @@ class Transport {
   void send(const std::string& link, const std::vector<std::uint8_t>& payload);
 
   // Returns the next logical payload on `link`, waiting up to `timeout_ms`
-  // (0 = only what is already queued). Silently discards stale frames.
+  // (0 = only what is already queued). Silently discards stale frames —
+  // on a link that has delivered nothing since its reset, every frame but
+  // seq 0. The first recv after a reset binds the link to its source's
+  // conn_generation; once the source has reconnected (a restarted process
+  // owes nothing the old one did) recv throws TransportError until
+  // reset_link().
   // Throws TimeoutError when nothing arrives, CorruptFrameError when a
   // frame fails its checksum (the frame is consumed), WireError on
   // malformed or misrouted frames.
@@ -158,9 +163,10 @@ class Transport {
   std::uint64_t stale_frames_dropped() const;
 
   // --- crash recovery -------------------------------------------------------
-  // Forgets the sequence bookkeeping of one link. A party that died and
-  // rejoined restarts its links at seq 0; without the reset the surviving
-  // end would drop every frame from the fresh process as stale.
+  // Forgets the sequence bookkeeping and the bound source of one link. A
+  // party that died and rejoined restarts its links at seq 0; without the
+  // reset the surviving end would drop every frame from the fresh process
+  // as stale.
   void reset_link(const std::string& link);
 
   // Drops any frames already queued on `link` (half-delivered state from a
@@ -178,10 +184,15 @@ class Transport {
     return true;
   }
 
+  // How many connections `peer` has established with us, so a relaunch
+  // shows even once it is live. Transports whose links never die: 0.
+  virtual std::uint64_t conn_generation(const std::string& /*peer*/) const { return 0; }
+
  private:
   mutable std::mutex seq_mu_;
   std::map<std::string, std::uint64_t> send_seq_;       // next seq per link
   std::map<std::string, std::uint64_t> recv_expected_;  // next accepted seq
+  std::map<std::string, std::uint64_t> recv_source_;    // bound conn_generation
   std::uint64_t stale_dropped_ = 0;
 };
 

@@ -528,9 +528,9 @@ void BlackBox::append(RecordType type, const std::uint8_t* payload, std::size_t 
   if (padded > len) std::memset(frame + kRecordHeaderBytes + len, 0, padded - len);
   put_u32(frame + 12, frame_crc(frame, len));
   // Publish last: until the magic lands, scanners see an invalid frame.
-  std::atomic_thread_fence(std::memory_order_release);
+  // The release store orders every write above before it.
   reinterpret_cast<std::atomic<std::uint32_t>*>(frame)->store(
-      kRecordMagic, std::memory_order_relaxed);
+      kRecordMagic, std::memory_order_release);
   written_->fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -138,17 +138,6 @@ TEST(GtvClientTest, ShuffleChangesOrderButKeepsMultiset) {
   }
 }
 
-TEST(GtvClientTest, SynthesizeProducesLocalSchema) {
-  Rng rng(9);
-  GtvClient client(0, client_table(60, rng), tiny_options(), 6, 5, 7);
-  Table synth = client.synthesize(Tensor::normal(12, 6, 0.0f, 1.0f, rng));
-  EXPECT_EQ(synth.n_rows(), 12u);
-  EXPECT_EQ(synth.n_cols(), 2u);
-  for (double v : synth.column(1)) {
-    EXPECT_TRUE(v == 0.0 || v == 1.0 || v == 2.0);
-  }
-}
-
 // --- server ----------------------------------------------------------------------
 
 GtvServer::ClientInfo info(std::size_t cv, std::size_t g, std::size_t d) {

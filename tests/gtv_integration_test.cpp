@@ -220,6 +220,27 @@ TEST(GtvTrainerTest, PublicationShufflesButKeepsShardsAligned) {
   EXPECT_EQ(joined.n_cols(), 4u);
 }
 
+TEST(GtvTrainerTest, SamplingDoesNotChangeTraining) {
+  // Sampling draws from a serve::Synthesizer built from a checkpoint
+  // barrier, never from a party's training RNG, so a run that samples
+  // between rounds follows the trajectory of one that does not.
+  Rng rng(14);
+  const Table source = two_party_source(60, rng);
+  GtvTrainer a(split_two(source), small_options(), 19);
+  a.train(2);
+  EXPECT_EQ(a.sample(32).n_rows(), 32u);
+  a.train(3);
+  GtvTrainer b(split_two(source), small_options(), 19);
+  b.train(5);
+  ASSERT_EQ(a.history().size(), 5u);
+  for (std::size_t r = 0; r < 5; ++r) {
+    EXPECT_EQ(a.history()[r].d_loss, b.history()[r].d_loss) << "round " << r;
+    EXPECT_EQ(a.history()[r].g_loss, b.history()[r].g_loss) << "round " << r;
+    EXPECT_EQ(a.history()[r].gp, b.history()[r].gp) << "round " << r;
+    EXPECT_EQ(a.history()[r].wasserstein, b.history()[r].wasserstein) << "round " << r;
+  }
+}
+
 TEST(GtvTrainerTest, ThreeClientsWithUnevenFeatures) {
   Rng rng(8);
   Table t = data::make_loan(80, rng);

@@ -115,7 +115,9 @@ TEST(HealthDivergenceTest, SeedConfigStaysSilentOverTenRounds) {
 
 TEST(HealthDivergenceTest, ProbeDoesNotPerturbTraining) {
   // Identical seeds with and without probes must produce identical loss
-  // trajectories: the probe snapshots/restores every RNG stream it touches.
+  // trajectories. This holds by construction: the probe samples from a
+  // checkpoint through serve::Synthesizer with its own seed and touches no
+  // party RNG.
   HealthGuard guard;
   obs::set_health_enabled(true);
   Rng rng(7);

@@ -7,18 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/gtv.h"
 #include "core/partition.h"
 #include "data/datasets.h"
 #include "net/tcp.h"
+#include "obs/health.h"
 
 namespace gtv::core {
 namespace {
@@ -99,6 +104,55 @@ std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+struct TcpRun {
+  std::vector<gan::RoundLosses> history;
+  std::vector<obs::RoundTelemetry> telemetry;  // the driver's round records
+  std::vector<net::LinkStats> traffic;         // server, then each client
+};
+
+// Trains `setup` as four parties over real TCP sockets, one thread each:
+// server + driver listen, clients dial both.
+TcpRun run_tcp(const NodeSetup& setup) {
+  auto server_t = std::make_shared<net::TcpTransport>("server");
+  const std::uint16_t server_port = server_t->listen(0);
+  auto driver_t = std::make_shared<net::TcpTransport>("driver");
+  const std::uint16_t driver_port = driver_t->listen(0);
+
+  std::vector<std::future<net::LinkStats>> parties;
+  parties.push_back(std::async(std::launch::async, [&] {
+    ServerNode node(setup.config, setup.g_widths, setup.d_widths);
+    node.set_transport(server_t);
+    node.traffic().set_retry_policy(test_retry_policy());
+    node.run();
+    return node.traffic().total();
+  }));
+  for (std::size_t i = 0; i < setup.config.n_clients; ++i) {
+    parties.push_back(std::async(std::launch::async, [&, i] {
+      auto transport = std::make_shared<net::TcpTransport>("client" + std::to_string(i));
+      transport->connect_peer("server", "127.0.0.1", server_port);
+      transport->connect_peer("driver", "127.0.0.1", driver_port);
+      ClientNode node(setup.config, i, setup.shards[i], setup.g_widths[i], setup.d_widths[i]);
+      node.set_transport(transport);
+      node.traffic().set_retry_policy(test_retry_policy());
+      node.run();
+      return node.traffic().total();
+    }));
+  }
+  driver_t->connect_peer("server", "127.0.0.1", server_port);
+  for (std::size_t i = 0; i < setup.config.n_clients; ++i) {
+    EXPECT_TRUE(driver_t->wait_for_peer("client" + std::to_string(i), 20000));
+  }
+
+  TcpRun run;
+  DriverNode driver(setup.config);
+  driver.set_transport(driver_t);
+  driver.traffic().set_retry_policy(test_retry_policy());
+  run.history = driver.run();
+  run.telemetry = driver.telemetry();
+  for (auto& party : parties) run.traffic.push_back(party.get());
+  return run;
+}
+
 TEST(NodeConfigTest, RejectsSimulationOnlyModes) {
   NodeConfig config;
   config.train_rows = 10;
@@ -137,50 +191,9 @@ TEST(NodeProtocolTest, TcpFourPartyRunMatchesInProcessTrainer) {
   trainer.train(setup.config.rounds);
   const auto expected = trainer.history();
 
-  // Distributed: server + driver listen, clients dial both.
-  auto server_t = std::make_shared<net::TcpTransport>("server");
-  const std::uint16_t server_port = server_t->listen(0);
-  auto driver_t = std::make_shared<net::TcpTransport>("driver");
-  const std::uint16_t driver_port = driver_t->listen(0);
-
-  auto server_task = std::async(std::launch::async, [&] {
-    ServerNode node(setup.config, setup.g_widths, setup.d_widths);
-    node.set_transport(server_t);
-    node.traffic().set_retry_policy(test_retry_policy());
-    node.run();
-    return node.traffic().total();
-  });
-  std::vector<std::future<net::LinkStats>> client_tasks;
-  for (std::size_t i = 0; i < setup.config.n_clients; ++i) {
-    client_tasks.push_back(std::async(std::launch::async, [&, i] {
-      auto transport =
-          std::make_shared<net::TcpTransport>("client" + std::to_string(i));
-      transport->connect_peer("server", "127.0.0.1", server_port);
-      transport->connect_peer("driver", "127.0.0.1", driver_port);
-      ClientNode node(setup.config, i, setup.shards[i], setup.g_widths[i],
-                      setup.d_widths[i]);
-      node.set_transport(transport);
-      node.traffic().set_retry_policy(test_retry_policy());
-      node.run();
-      return node.traffic().total();
-    }));
-  }
-  driver_t->connect_peer("server", "127.0.0.1", server_port);
-  ASSERT_TRUE(driver_t->wait_for_peer("client0", 20000));
-  ASSERT_TRUE(driver_t->wait_for_peer("client1", 20000));
-
-  DriverNode driver(setup.config);
-  driver.set_transport(driver_t);
-  driver.traffic().set_retry_policy(test_retry_policy());
-  const auto history = driver.run();
-
-  const net::LinkStats server_traffic = server_task.get();
-  for (auto& task : client_tasks) {
-    const net::LinkStats client_traffic = task.get();
-    EXPECT_GT(client_traffic.bytes, 0u);
-  }
-  EXPECT_GT(server_traffic.bytes, 0u);
-
+  const TcpRun run = run_tcp(setup);
+  for (const net::LinkStats& party : run.traffic) EXPECT_GT(party.bytes, 0u);
+  const auto& history = run.history;
   ASSERT_EQ(history.size(), expected.size());
   for (std::size_t r = 0; r < history.size(); ++r) {
     EXPECT_NEAR(history[r].d_loss, expected[r].d_loss, 1e-5) << "round " << r;
@@ -201,47 +214,54 @@ TEST(NodeProtocolTest, TcpDpNoiseRunMatchesInProcessTrainer) {
   trainer.train(setup.config.rounds);
   const auto expected = trainer.history();
 
-  auto server_t = std::make_shared<net::TcpTransport>("server");
-  const std::uint16_t server_port = server_t->listen(0);
-  auto driver_t = std::make_shared<net::TcpTransport>("driver");
-  const std::uint16_t driver_port = driver_t->listen(0);
-
-  auto server_task = std::async(std::launch::async, [&] {
-    ServerNode node(setup.config, setup.g_widths, setup.d_widths);
-    node.set_transport(server_t);
-    node.traffic().set_retry_policy(test_retry_policy());
-    node.run();
-  });
-  std::vector<std::future<void>> client_tasks;
-  for (std::size_t i = 0; i < setup.config.n_clients; ++i) {
-    client_tasks.push_back(std::async(std::launch::async, [&, i] {
-      auto transport =
-          std::make_shared<net::TcpTransport>("client" + std::to_string(i));
-      transport->connect_peer("server", "127.0.0.1", server_port);
-      transport->connect_peer("driver", "127.0.0.1", driver_port);
-      ClientNode node(setup.config, i, setup.shards[i], setup.g_widths[i],
-                      setup.d_widths[i]);
-      node.set_transport(transport);
-      node.traffic().set_retry_policy(test_retry_policy());
-      node.run();
-    }));
-  }
-  driver_t->connect_peer("server", "127.0.0.1", server_port);
-  ASSERT_TRUE(driver_t->wait_for_peer("client0", 20000));
-  ASSERT_TRUE(driver_t->wait_for_peer("client1", 20000));
-
-  DriverNode driver(setup.config);
-  driver.set_transport(driver_t);
-  driver.traffic().set_retry_policy(test_retry_policy());
-  const auto history = driver.run();
-  server_task.get();
-  for (auto& task : client_tasks) task.get();
-
+  const auto history = run_tcp(setup).history;
   ASSERT_EQ(history.size(), expected.size());
   for (std::size_t r = 0; r < history.size(); ++r) {
     EXPECT_NEAR(history[r].d_loss, expected[r].d_loss, 1e-5) << "round " << r;
     EXPECT_NEAR(history[r].g_loss, expected[r].g_loss, 1e-5) << "round " << r;
   }
+}
+
+// Health runs in the distributed runtime: the DriverNode evaluates the
+// rules on the stats the parties report and probes through kCmdProbe. An
+// absurd learning rate must raise the same alerts over TCP as in process,
+// a fatal one within 10 rounds, and the round-10 probe must score every
+// column.
+TEST(NodeProtocolTest, TcpHealthAlertsMatchInProcessTrainer) {
+  const bool health_was = obs::health_enabled();
+  obs::set_health_enabled(true);
+  NodeSetup setup = make_setup(/*rounds=*/10);
+  setup.config.options.gan.adam.lr = 100.0f;
+
+  GtvTrainer trainer(setup.shards, setup.config.options, setup.config.seed);
+  trainer.train(setup.config.rounds);
+  const TcpRun run = run_tcp(setup);
+  obs::set_health_enabled(health_was);
+  obs::HealthLog::instance().reset();
+
+  ASSERT_EQ(run.telemetry.size(), setup.config.rounds);
+  std::vector<std::pair<std::string, std::size_t>> tcp_alerts;
+  std::size_t first_fatal = setup.config.rounds;
+  for (const obs::RoundTelemetry& round : run.telemetry) {
+    EXPECT_TRUE(round.health.collected);
+    // (G, D) on the server and on each of the two clients.
+    EXPECT_EQ(round.health.modules.size(), 6u) << "round " << round.round;
+    for (const obs::HealthAlert& alert : round.health.alerts) {
+      tcp_alerts.emplace_back(alert.rule, alert.round);
+      if (alert.severity == obs::Severity::kFatal) {
+        first_fatal = std::min(first_fatal, alert.round);
+      }
+    }
+  }
+  std::vector<std::pair<std::string, std::size_t>> inproc_alerts;
+  for (const obs::HealthAlert& alert : trainer.health_alerts()) {
+    inproc_alerts.emplace_back(alert.rule, alert.round);
+  }
+  EXPECT_EQ(tcp_alerts, inproc_alerts);
+  EXPECT_LT(first_fatal, 10u);
+  EXPECT_EQ(run.telemetry[9].health.probes.size(),
+            setup.shards[0].n_cols() + setup.shards[1].n_cols());
+  EXPECT_EQ(run.telemetry[9].health.probes.size(), trainer.telemetry()[9].health.probes.size());
 }
 
 // The elastic tentpole: client1 "dies" mid-training (its transport slams

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "net/tcp.h"
@@ -134,6 +138,23 @@ TEST(TransportSeqTest, LinksSequenceIndependently) {
   t.send("b->a", bytes_of({2}));
   EXPECT_EQ(t.recv("b->a", 0), bytes_of({2}));
   EXPECT_EQ(t.recv("a->b", 0), bytes_of({1}));
+}
+
+TEST(TransportSeqTest, FreshLinkDeliversFromSeqZero) {
+  // A frame the far end's previous incarnation numbered 5 reaches a link
+  // that has delivered nothing since its reset: it is stale, not news.
+  InProcTransport t;
+  for (int round = 0; round < 2; ++round) {
+    Frame leftover;
+    leftover.link = "a->b";
+    leftover.seq = 5;
+    leftover.payload = bytes_of({9});
+    t.deliver_frame("a->b", encode_frame(leftover));
+    t.send("a->b", bytes_of({round}));
+    EXPECT_EQ(t.recv("a->b", 0), bytes_of({round}));
+    t.reset_link("a->b");
+  }
+  EXPECT_EQ(t.stale_frames_dropped(), 2u);
 }
 
 TEST(InProcTransportTest, RecvTimesOutOnEmptyLink) {
@@ -350,6 +371,41 @@ TEST(TcpTransportTest, ReconnectReplacesDeadConnection) {
   EXPECT_EQ(frame.payload, bytes_of({2}));
   EXPECT_EQ(server.conn_generation("client0"), 2u);
   EXPECT_TRUE(server.clock_sync("client0").valid);
+}
+
+// A receive is bound to one incarnation of its source: once the source
+// has reconnected (a restarted process owes nothing the old one did) recv
+// fails fast, whether the restart came before or during the wait, until
+// the link is reset.
+TEST(TcpTransportTest, RecvFailsFastOnceTheSourceRestarted) {
+  TcpTransport server("server");
+  const std::uint16_t port = server.listen(0);
+  const auto outcome = [&server] {
+    try {
+      server.recv("client0->server", 10000);
+      return std::string("frame");
+    } catch (const TimeoutError&) {
+      return std::string("timeout");
+    } catch (const TransportError&) {
+      return std::string("restart");
+    }
+  };
+  auto first = std::make_unique<TcpTransport>("client0");
+  first->connect_peer("server", "127.0.0.1", port);
+  first->send("client0->server", bytes_of({1}));
+  EXPECT_EQ(server.recv("client0->server", 5000), bytes_of({1}));
+
+  auto waiting = std::async(std::launch::async, outcome);  // restart during the wait
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  first.reset();
+  TcpTransport second("client0");
+  second.connect_peer("server", "127.0.0.1", port);
+  EXPECT_EQ(waiting.get(), "restart");
+  EXPECT_EQ(outcome(), "restart");  // restart before the wait
+
+  server.reset_link("client0->server");
+  second.send("client0->server", bytes_of({2}));
+  EXPECT_EQ(server.recv("client0->server", 5000), bytes_of({2}));
 }
 
 TEST(TcpTransportTest, MeterSplitEndpointsCarryTensors) {

@@ -40,6 +40,7 @@
 #include "net/tcp.h"
 #include "obs/agg.h"
 #include "obs/blackbox.h"
+#include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/snapshot.h"
@@ -280,6 +281,29 @@ void print_losses(const std::vector<gan::RoundLosses>& history) {
   std::printf("\n  ],\n");
 }
 
+// Under GTV_HEALTH: per round the module and probe counts, then every
+// alert as (rule, round, severity) — equal for the same training in
+// process and over TCP.
+void print_health(const std::vector<obs::RoundTelemetry>& rounds) {
+  if (!obs::health_enabled()) return;
+  std::printf(",\n  \"health\": {\"rounds\": [");
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    std::printf("%s{\"modules\": %zu, \"probes\": %zu}", r == 0 ? "" : ", ",
+                rounds[r].health.modules.size(), rounds[r].health.probes.size());
+  }
+  std::printf("],\n    \"alerts\": [");
+  bool first = true;
+  for (const auto& round : rounds) {
+    for (const auto& alert : round.health.alerts) {
+      std::printf("%s\n      {\"rule\": \"%s\", \"round\": %zu, \"severity\": \"%s\"}",
+                  first ? "" : ",", alert.rule.c_str(), alert.round,
+                  obs::to_string(alert.severity));
+      first = false;
+    }
+  }
+  std::printf("]}");
+}
+
 void print_traffic(const net::TrafficMeter& meter) {
   const net::LinkStats total = meter.total();
   std::printf("  \"traffic\": {\"bytes\": %llu, \"messages\": %llu, \"retries\": %llu, "
@@ -311,6 +335,9 @@ class StraggleTransport : public net::Transport {
   void discard_queued(const std::string& link) override { inner_->discard_queued(link); }
   bool wait_for_live_peer(const std::string& peer, int timeout_ms) override {
     return inner_->wait_for_live_peer(peer, timeout_ms);
+  }
+  std::uint64_t conn_generation(const std::string& peer) const override {
+    return inner_->conn_generation(peer);
   }
 
  private:
@@ -461,6 +488,7 @@ int run_inproc(const Args& args, const Shared& shared) {
   std::printf("{\n  \"role\": \"inproc\",\n  \"transport\": \"inproc\",\n");
   print_losses(trainer.history());
   print_traffic(trainer.traffic());
+  print_health(trainer.telemetry());
   std::printf(",\n  \"model_hash\": \"%016llx\"",
               static_cast<unsigned long long>(ckpt.model_hash));
   if (!args.checkpoint_out.empty()) {
@@ -659,6 +687,7 @@ int run_driver(const Args& args, const Shared& shared) {
   std::printf("{\n  \"role\": \"driver\",\n  \"transport\": \"tcp\",\n");
   print_losses(history);
   print_traffic(node.traffic());
+  print_health(node.telemetry());
   if (!args.checkpoint_out.empty()) {
     std::printf(",\n  \"checkpoint\": \"%s\",\n  \"model_hash\": \"%016llx\"",
                 args.checkpoint_out.c_str(),
