@@ -27,7 +27,7 @@
 // per-link traffic) and the HealthLog summary, so each figure records its
 // phase breakdown. Under GTV_PROFILE=1 a `<name>.profile.json` per-op table
 // is written as well; under GTV_HEALTH=1 a `<name>.health.json` alert log.
-// Merge the artefacts with tools/gtv-prof / tools/gtv-health.
+// Merge the artefacts with gtv-obs prof.
 #pragma once
 
 #include <functional>

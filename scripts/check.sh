@@ -8,15 +8,15 @@
 #          2. one small benchmark run with GTV_TRACE + GTV_PROFILE enabled;
 #             assert the trace parses as JSONL with party rows + send/recv
 #             flow pairs, the telemetry/profile JSON exist and carry
-#             schema_version, and gtv-prof merges all three artefacts
+#             schema_version, and gtv-obs prof merges all three artefacts
 #          3. the health stage below
 #   health incremental build, then the training-health smoke: a healthy
 #          GTV_HEALTH=1 run must stay alert-free and emit the schema v3
 #          telemetry envelope + <fig>.health.json (feeding the
 #          BENCH_health_smoke.json baseline), a destabilized-LR run must
 #          turn fatal and emit health.* trace instants, the divergence-test
-#          JSONL artefact must hold well-formed alerts, and gtv-prof /
-#          gtv-health must render it all. Then health over TCP: a 12-round
+#          JSONL artefact must hold well-formed alerts, and gtv-obs prof
+#          must render it all. Then health over TCP: a 12-round
 #          4-process run with GTV_HEALTH=1 everywhere must report 6 modules
 #          per round, a probe on round 9 and the in-process run's health
 #          block (module/probe counts, every alert's rule/round/severity).
@@ -35,19 +35,20 @@
 #          512^3 on this machine. Emits BENCH_kernels.json.
 #   liveobs incremental build + agg/transport tests, then the live-telemetry
 #          smoke: a 4-process run with the Collector enabled must show every
-#          party live in gtv-top and on the Prometheus endpoint (party
+#          party live in gtv-obs top and on the Prometheus endpoint (party
 #          labels), every party must deliver >=1 snapshot with a finite
 #          measured clock offset, the loss trajectory must be identical to a
-#          telemetry-off run, and gtv-prof --offsets must fold the per-party
-#          traces into clock-aligned cross-file gap statistics. Emits
+#          telemetry-off run, and gtv-obs prof --offsets must fold the per-party
+#          traces into clock-aligned cross-file gap statistics; before the
+#          plane is up, gtv-obs top --frames 2 must give up and exit 1. Emits
 #          BENCH_liveobs_smoke.json (snapshot latency p50/p99 + collector
 #          overhead) and diffs all baselines via scripts/bench_compare.py.
 #   blackbox incremental build + blackbox/json tests, then the crash-forensics
 #          smoke: a recorder-on inproc run must reproduce the recorder-off
-#          losses bit-for-bit at <2% wall overhead, gtv-postmortem --bench
+#          losses bit-for-bit at <2% wall overhead, gtv-obs postmortem --bench
 #          must sustain the append path through ring wrap with zero CRC
 #          rejects, and a 4-process TCP run SIGKILLed mid-round must leave
-#          every ring valid (CRCs, contiguous seqs) with gtv-postmortem
+#          every ring valid (CRCs, contiguous seqs) with gtv-obs postmortem
 #          naming the killed party, its last round/phase, and >=1 transport
 #          event around the death. Emits BENCH_blackbox_smoke.json
 #          (records/sec, write p99, overhead ratio).
@@ -55,7 +56,7 @@
 #          smoke: a --sample-hz 97 inproc run must reproduce the sampler-off
 #          losses + model hash bit-for-bit at <=3% CPU overhead (wait4
 #          rusage, interleaved pairs); a 4-process TCP run writes one
-#          <role>.folded per party, and gtv-flame's merged profile must hold
+#          <role>.folded per party, and gtv-obs flame's merged profile must hold
 #          >=100 samples, symbolize >=80% of frames, contain an on-CPU gemm
 #          frame and an off-CPU blocked-in-recv frame, and cover all four
 #          parties; the diff of a profile against itself must cancel to zero
@@ -103,6 +104,36 @@ fi
 # ephemeral range (32768-60999 by default): the kernel never hands one of
 # them to an outgoing connection, so a smoke's listen cannot find it taken.
 
+# --- four-process fleet -------------------------------------------------------
+# fleet_start <out-prefix> <driver-only flags> <shared flags>...
+# Starts server, client0, client1 and driver as separate gtv-node processes
+# with the shared flags; <role> writes <out-prefix><role>.json. FLEET_PIDS
+# holds their PIDs in that order, so a kill leg can SIGKILL one of them and
+# put its relaunch in the same slot before fleet_wait.
+fleet_start() {
+  local PREFIX="$1" DRIVER_FLAGS="$2" ROLE EXTRA
+  shift 2
+  FLEET_PIDS=()
+  for ROLE in server client0 client1 driver; do
+    EXTRA=""
+    [ "$ROLE" = driver ] && EXTRA="$DRIVER_FLAGS"
+    "$BUILD_DIR/tools/gtv-node" --role "$ROLE" "$@" $EXTRA > "$PREFIX$ROLE.json" 2>&1 &
+    FLEET_PIDS+=($!)
+  done
+}
+
+# fleet_wait <out-prefix>: waits for every FLEET_PIDS process; if any exited
+# nonzero, prints every <out-prefix>*.json and fails the stage.
+fleet_wait() {
+  local PID FAILED=0
+  for PID in "${FLEET_PIDS[@]}"; do wait "$PID" || FAILED=1; done
+  if [ "$FAILED" -ne 0 ]; then
+    echo "FAIL: a gtv-node process exited nonzero ($1)"
+    cat "$1"*.json
+    exit 1
+  fi
+}
+
 # --- distributed transport smoke (stages: all, transport) --------------------
 # Trains the same tiny config two ways — in-process and as 4 OS processes
 # over TCP-localhost — and asserts the loss trajectories agree and both
@@ -120,27 +151,9 @@ run_transport_stage() {
   "$NODE" --role inproc $ARGS > "$TOUT/inproc.json"
 
   # 2. The same training as four real OS processes over TCP.
-  "$NODE" --role server $ARGS --port "$PORT" --driver-port "$DPORT" \
-    > "$TOUT/server.json" 2>&1 &
-  local SERVER_PID=$!
-  "$NODE" --role client0 $ARGS --port "$PORT" --driver-port "$DPORT" \
-    > "$TOUT/client0.json" 2>&1 &
-  local C0_PID=$!
-  "$NODE" --role client1 $ARGS --port "$PORT" --driver-port "$DPORT" \
-    > "$TOUT/client1.json" 2>&1 &
-  local C1_PID=$!
-  "$NODE" --role driver $ARGS --port "$PORT" --driver-port "$DPORT" \
-    --checkpoint-out "$TOUT/driver.gtvk" > "$TOUT/driver.json" 2>&1 &
-  local DRIVER_PID=$!
-  local PID FAILED=0
-  for PID in "$SERVER_PID" "$C0_PID" "$C1_PID" "$DRIVER_PID"; do
-    wait "$PID" || FAILED=1
-  done
-  if [ "$FAILED" -ne 0 ]; then
-    echo "FAIL: a gtv-node process exited nonzero"
-    cat "$TOUT"/*.json
-    exit 1
-  fi
+  fleet_start "$TOUT/" "--checkpoint-out $TOUT/driver.gtvk" \
+    $ARGS --port "$PORT" --driver-port "$DPORT"
+  fleet_wait "$TOUT/"
 
   python3 - "$TOUT" <<'EOF'
 import json, sys
@@ -194,61 +207,44 @@ run_liveobs_stage() {
   local LOUT="$SMOKE_OUT/liveobs"
   mkdir -p "$LOUT"
   local NODE="$BUILD_DIR/tools/gtv-node"
-  local TOP="$BUILD_DIR/tools/gtv-top"
-  local PROF="$BUILD_DIR/tools/gtv-prof"
+  local OBS="$BUILD_DIR/tools/gtv-obs"
   local ARGS="--clients 2 --rounds 3 --rows 96 --batch 32 --d-steps 2 --seed 7"
   local PORT=27681 DPORT=27682 CPORT=27683 MPORT=27684
   local LINGER_MS=4000
   command -v python3 > /dev/null 2>&1 \
     || { echo "FAIL: the liveobs stage needs python3"; exit 1; }
 
-  wait_four() {
-    local PID FAILED=0
-    for PID in "$@"; do wait "$PID" || FAILED=1; done
-    if [ "$FAILED" -ne 0 ]; then
-      echo "FAIL: a gtv-node process exited nonzero"
-      cat "$LOUT"/*.json
-      exit 1
-    fi
-  }
-
   # 1. Baseline: telemetry plane off, wall-clock timed.
   local T0 T1 BASE_MS LIVE_MS
   T0=$(date +%s%N)
-  "$NODE" --role server $ARGS --port "$PORT" --driver-port "$DPORT" \
-    > "$LOUT/base_server.json" 2>&1 &
-  local S_PID=$!
-  "$NODE" --role client0 $ARGS --port "$PORT" --driver-port "$DPORT" \
-    > "$LOUT/base_client0.json" 2>&1 &
-  local C0_PID=$!
-  "$NODE" --role client1 $ARGS --port "$PORT" --driver-port "$DPORT" \
-    > "$LOUT/base_client1.json" 2>&1 &
-  local C1_PID=$!
-  "$NODE" --role driver $ARGS --port "$PORT" --driver-port "$DPORT" \
-    > "$LOUT/base_driver.json" 2>&1 &
-  local D_PID=$!
-  wait_four "$S_PID" "$C0_PID" "$C1_PID" "$D_PID"
+  fleet_start "$LOUT/base_" "" $ARGS --port "$PORT" --driver-port "$DPORT"
+  fleet_wait "$LOUT/base_"
   T1=$(date +%s%N)
   BASE_MS=$(( (T1 - T0) / 1000000 ))
 
+  # With no collector up yet, top --frames must give up after its polls
+  # and exit 1 (timeout turns a hang into a failure too).
+  local TOP_RC=0
+  timeout 30 "$OBS" top --port "$MPORT" --frames 2 --interval-ms 10 \
+    > "$LOUT/top_down.txt" 2>&1 || TOP_RC=$?
+  [ "$TOP_RC" -eq 1 ] \
+    || { echo "FAIL: gtv-obs top with no collector exited $TOP_RC (expected 1)"; exit 1; }
+
   # 2. Live: Collector in the driver, HTTP endpoint, 50ms snapshots,
   #    per-party traces, offsets export, linger so scrapes are determinate.
+  #    Each role traces to its own file, so this launch stays explicit.
   local LIVE="--collector-port $CPORT --snapshot-interval-ms 50"
+  local ROLE EXTRA
   T0=$(date +%s%N)
-  GTV_TRACE="$LOUT/trace_server.jsonl" "$NODE" --role server $ARGS \
-    --port "$PORT" --driver-port "$DPORT" $LIVE > "$LOUT/server.json" 2>&1 &
-  S_PID=$!
-  GTV_TRACE="$LOUT/trace_client0.jsonl" "$NODE" --role client0 $ARGS \
-    --port "$PORT" --driver-port "$DPORT" $LIVE > "$LOUT/client0.json" 2>&1 &
-  C0_PID=$!
-  GTV_TRACE="$LOUT/trace_client1.jsonl" "$NODE" --role client1 $ARGS \
-    --port "$PORT" --driver-port "$DPORT" $LIVE > "$LOUT/client1.json" 2>&1 &
-  C1_PID=$!
-  GTV_TRACE="$LOUT/trace_driver.jsonl" "$NODE" --role driver $ARGS \
-    --port "$PORT" --driver-port "$DPORT" $LIVE --metrics-port "$MPORT" \
-    --offsets-out "$LOUT/offsets.json" --linger-ms "$LINGER_MS" \
-    > "$LOUT/driver.json" 2>&1 &
-  D_PID=$!
+  FLEET_PIDS=()
+  for ROLE in server client0 client1 driver; do
+    EXTRA=""
+    [ "$ROLE" = driver ] \
+      && EXTRA="--metrics-port $MPORT --offsets-out $LOUT/offsets.json --linger-ms $LINGER_MS"
+    GTV_TRACE="$LOUT/trace_$ROLE.jsonl" "$NODE" --role "$ROLE" $ARGS \
+      --port "$PORT" --driver-port "$DPORT" $LIVE $EXTRA > "$LOUT/$ROLE.json" 2>&1 &
+    FLEET_PIDS+=($!)
+  done
 
   # While the run is up, the scrape endpoint must eventually show every
   # party with a party label…
@@ -272,39 +268,39 @@ while time.time() < deadline:
     time.sleep(0.2)
 missing = {label for label in want if label not in metrics}
 assert not missing, f"scrape never showed {missing}"
-json.loads(status)  # must be valid JSON for gtv-top
+json.loads(status)  # must be valid JSON for gtv-obs top
 open(f"{out}/metrics.prom", "w").write(metrics)
 open(f"{out}/status.json", "w").write(status)
 print(f"scrape OK: all {len(want)} parties labeled on /metrics")
 EOF
 
-  # …and once every party is on the plane, gtv-top must render a frame
-  # that shows all of them live.
-  "$TOP" --port "$MPORT" --once > "$LOUT/top.txt" \
-    || { echo "FAIL: gtv-top could not reach the collector"; exit 1; }
+  # …and once every party is on the plane, top must render a frame that
+  # shows all of them live.
+  "$OBS" top --port "$MPORT" --once > "$LOUT/top.txt" \
+    || { echo "FAIL: gtv-obs top could not reach the collector"; exit 1; }
   local PARTY
   for PARTY in server client0 client1 driver; do
     grep -q "$PARTY" "$LOUT/top.txt" \
-      || { echo "FAIL: gtv-top frame is missing $PARTY"; cat "$LOUT/top.txt"; exit 1; }
+      || { echo "FAIL: gtv-obs top frame is missing $PARTY"; cat "$LOUT/top.txt"; exit 1; }
   done
 
-  wait_four "$S_PID" "$C0_PID" "$C1_PID" "$D_PID"
+  fleet_wait "$LOUT/"
   T1=$(date +%s%N)
   LIVE_MS=$(( (T1 - T0) / 1000000 - LINGER_MS ))
 
   # 4. Clock-aligned trace merge: cross-file flow pairs must join the gap
   #    statistics once --offsets is applied (and stay excluded without it).
-  "$PROF" --trace "$LOUT/trace_server.jsonl" --trace "$LOUT/trace_client0.jsonl" \
+  "$OBS" prof --trace "$LOUT/trace_server.jsonl" --trace "$LOUT/trace_client0.jsonl" \
     --trace "$LOUT/trace_client1.jsonl" --trace "$LOUT/trace_driver.jsonl" \
     > "$LOUT/prof_raw.txt"
   grep -q "cross-file pairs excluded" "$LOUT/prof_raw.txt" \
-    || { echo "FAIL: gtv-prof did not warn about unaligned cross-file pairs"; exit 1; }
-  "$PROF" --trace "$LOUT/trace_server.jsonl" --trace "$LOUT/trace_client0.jsonl" \
+    || { echo "FAIL: gtv-obs prof did not warn about unaligned cross-file pairs"; exit 1; }
+  "$OBS" prof --trace "$LOUT/trace_server.jsonl" --trace "$LOUT/trace_client0.jsonl" \
     --trace "$LOUT/trace_client1.jsonl" --trace "$LOUT/trace_driver.jsonl" \
     --offsets "$LOUT/offsets.json" --merged-out "$LOUT/merged_aligned.jsonl" \
     > "$LOUT/prof_aligned.txt"
   grep -q "aligned cross-file gap" "$LOUT/prof_aligned.txt" \
-    || { echo "FAIL: gtv-prof --offsets produced no aligned gap stats"; \
+    || { echo "FAIL: gtv-obs prof --offsets produced no aligned gap stats"; \
          cat "$LOUT/prof_aligned.txt"; exit 1; }
 
   # 5. Assertions + baseline emission.
@@ -325,7 +321,7 @@ assert coll["parties"] == coll["expected"] == 4, coll
 offsets_seen = {}
 # (Parties other than the driver finish before the linger window ends, so
 # they are legitimately stale by the time this summary prints — liveness
-# during the run is what the gtv-top frame asserted above.)
+# during the run is what the top frame asserted above.)
 for view in coll["views"]:
     assert view["snapshots"] >= 1, f"{view['party']} delivered no snapshots"
     assert view["clock_valid"], f"{view['party']} has no clock sync"
@@ -424,7 +420,7 @@ run_blackbox_stage() {
   local BOUT="$SMOKE_OUT/blackbox"
   mkdir -p "$BOUT"
   local NODE="$BUILD_DIR/tools/gtv-node"
-  local PM="$BUILD_DIR/tools/gtv-postmortem"
+  local OBS="$BUILD_DIR/tools/gtv-obs"
   local ARGS="--clients 2 --rounds 8 --rows 96 --batch 32 --d-steps 2 --seed 7"
   local PORT=27701 DPORT=27702 CPORT=27703
   command -v python3 > /dev/null 2>&1 \
@@ -463,9 +459,9 @@ EOF
 
   # 2. Raw append bench: hammer the ring through many wraps; every retained
   #    frame must still read back clean.
-  "$PM" --bench --bench-path "$BOUT/bench.bbox" --bench-records 200000 \
+  "$OBS" postmortem --bench --bench-path "$BOUT/bench.bbox" --bench-records 200000 \
     > "$BOUT/bench.json" \
-    || { echo "FAIL: gtv-postmortem --bench found an invalid ring"; \
+    || { echo "FAIL: gtv-obs postmortem --bench found an invalid ring"; \
          cat "$BOUT/bench.json"; exit 1; }
 
   # 3. The headline scenario: 4 OS processes with recorders on, SIGKILL
@@ -475,23 +471,16 @@ EOF
   # meant to finish — the poll below needs the victim alive mid-training.)
   local KARGS="$ARGS --rounds 200 --port $PORT --driver-port $DPORT --collector-port $CPORT"
   KARGS="$KARGS --blackbox-dir $BOUT --recv-timeout-ms 500 --max-attempts 4"
-  "$NODE" --role server $KARGS > "$BOUT/server.json" 2>&1 &
-  local S_PID=$!
-  "$NODE" --role client0 $KARGS > "$BOUT/client0.json" 2>&1 &
-  local C0_PID=$!
-  "$NODE" --role client1 $KARGS > "$BOUT/client1.json" 2>&1 &
-  local C1_PID=$!
-  "$NODE" --role driver $KARGS --offsets-out "$BOUT/offsets.json" \
-    > "$BOUT/driver.json" 2>&1 &
-  local D_PID=$!
+  fleet_start "$BOUT/" "--offsets-out $BOUT/offsets.json" $KARGS
+  local C0_PID="${FLEET_PIDS[1]}"
 
   # Poll the victim's own ring (reading a live mmap ring is safe by design)
   # until it has finished at least one round, then kill it dead.
-  # (gtv-postmortem exits 3 here by design — a lone ring with no shutdown
+  # (postmortem exits 3 here by design — a lone ring with no shutdown
   # record reads as a silent death — so park its status away from pipefail.)
   local TRY ROUND=0
   for TRY in $(seq 1 400); do
-    "$PM" --json "$BOUT/client0.bbox" > "$BOUT/victim_poll.json" 2> /dev/null || true
+    "$OBS" postmortem --json "$BOUT/client0.bbox" > "$BOUT/victim_poll.json" 2> /dev/null || true
     ROUND=$(python3 -c 'import json,sys; print(json.load(sys.stdin)["parties"][0]["last_round"])' \
       < "$BOUT/victim_poll.json" 2> /dev/null || echo 0)
     [ "${ROUND:-0}" -ge 1 ] 2> /dev/null && break
@@ -504,10 +493,8 @@ EOF
     || { echo "FAIL: client0 never reached round 1 within the poll window"; exit 1; }
   kill -9 "$C0_PID"
   # The survivors are expected to exit nonzero once their links die.
-  wait "$S_PID" 2> /dev/null || true
-  wait "$C0_PID" 2> /dev/null || true
-  wait "$C1_PID" 2> /dev/null || true
-  wait "$D_PID" 2> /dev/null || true
+  local PID
+  for PID in "${FLEET_PIDS[@]}"; do wait "$PID" 2> /dev/null || true; done
 
   # 4. Forensics: every surviving ring must validate, and the postmortem
   #    must name the killed party, its last round, and transport events.
@@ -515,11 +502,11 @@ EOF
   local PM_OFFSETS=""
   [ -s "$BOUT/offsets.json" ] && PM_OFFSETS="--offsets $BOUT/offsets.json"
   local PM_RC=0
-  "$PM" $PM_OFFSETS --json $RINGS > "$BOUT/postmortem.json" || PM_RC=$?
+  "$OBS" postmortem $PM_OFFSETS --json $RINGS > "$BOUT/postmortem.json" || PM_RC=$?
   [ "$PM_RC" -eq 3 ] \
-    || { echo "FAIL: gtv-postmortem exit $PM_RC (expected 3: a party died)"; \
+    || { echo "FAIL: gtv-obs postmortem exit $PM_RC (expected 3: a party died)"; \
          cat "$BOUT/postmortem.json"; exit 1; }
-  "$PM" $PM_OFFSETS $RINGS > "$BOUT/postmortem.txt" || true
+  "$OBS" postmortem $PM_OFFSETS $RINGS > "$BOUT/postmortem.txt" || true
   grep -q "first to die: client0" "$BOUT/postmortem.txt" \
     || { echo "FAIL: human report did not blame client0"; \
          cat "$BOUT/postmortem.txt"; exit 1; }
@@ -598,12 +585,12 @@ EOF
 # --- sampling-profiler smoke (stages: all, sampler) --------------------------
 # Arms the SIGPROF/SIGUSR2 statistical sampler end to end: parity + CPU
 # overhead with sampling on, per-party folded profiles from a real 4-process
-# run, and gtv-flame's merge/diff/symbolization gates over them.
+# run, and gtv-obs flame's merge/diff/symbolization gates over them.
 run_sampler_stage() {
   local POUT="$SMOKE_OUT/sampler"
   mkdir -p "$POUT"
   local NODE="$BUILD_DIR/tools/gtv-node"
-  local FLAME="$BUILD_DIR/tools/gtv-flame"
+  local OBS="$BUILD_DIR/tools/gtv-obs"
   # Big enough (~0.7s CPU) that the sampler's one-time costs — ELF symtab
   # parse, exit symbolization, folded write — amortize under the 3% gate.
   local ARGS="--clients 2 --rounds 10 --rows 384 --batch 64 --d-steps 2 --seed 7"
@@ -645,23 +632,8 @@ EOF
   SARGS="$SARGS --sample-hz 97 --profile-dir $POUT"
   local T0 T1
   T0=$(date +%s%N)
-  "$NODE" --role server $SARGS > "$POUT/server.json" 2>&1 &
-  local S_PID=$!
-  "$NODE" --role client0 $SARGS > "$POUT/client0.json" 2>&1 &
-  local C0_PID=$!
-  "$NODE" --role client1 $SARGS > "$POUT/client1.json" 2>&1 &
-  local C1_PID=$!
-  "$NODE" --role driver $SARGS > "$POUT/driver.json" 2>&1 &
-  local D_PID=$!
-  local PID FAILED=0
-  for PID in "$S_PID" "$C0_PID" "$C1_PID" "$D_PID"; do
-    wait "$PID" || FAILED=1
-  done
-  if [ "$FAILED" -ne 0 ]; then
-    echo "FAIL: a sampled gtv-node process exited nonzero"
-    cat "$POUT"/*.json
-    exit 1
-  fi
+  fleet_start "$POUT/" "" $SARGS
+  fleet_wait "$POUT/"
   T1=$(date +%s%N)
   local WALL_MS=$(( (T1 - T0) / 1000000 ))
 
@@ -671,16 +643,16 @@ EOF
       || { echo "FAIL: $ROLE wrote no folded profile"; exit 1; }
   done
 
-  # 3. gtv-flame over the four profiles: merged folded text, summary JSON,
+  # 3. flame over the four profiles: merged folded text, summary JSON,
   #    the SVG, and a self-diff that must cancel to zero stacks.
   local FOLDED="$POUT/server.folded $POUT/client0.folded $POUT/client1.folded $POUT/driver.folded"
-  "$FLAME" $FOLDED --out "$POUT/merged.folded" --svg "$POUT/flame.svg" \
-    || { echo "FAIL: gtv-flame could not merge the folded profiles"; exit 1; }
-  "$FLAME" $FOLDED --json > "$POUT/flame.json" \
-    || { echo "FAIL: gtv-flame --json failed"; exit 1; }
-  "$FLAME" $FOLDED --base "$POUT/server.folded,$POUT/client0.folded,$POUT/client1.folded,$POUT/driver.folded" \
+  "$OBS" flame $FOLDED --out "$POUT/merged.folded" --svg "$POUT/flame.svg" \
+    || { echo "FAIL: gtv-obs flame could not merge the folded profiles"; exit 1; }
+  "$OBS" flame $FOLDED --json > "$POUT/flame.json" \
+    || { echo "FAIL: gtv-obs flame --json failed"; exit 1; }
+  "$OBS" flame $FOLDED --base "$POUT/server.folded,$POUT/client0.folded,$POUT/client1.folded,$POUT/driver.folded" \
     --out - > "$POUT/selfdiff.folded" \
-    || { echo "FAIL: gtv-flame --base failed"; exit 1; }
+    || { echo "FAIL: gtv-obs flame --base failed"; exit 1; }
   grep -q "<svg" "$POUT/flame.svg" \
     || { echo "FAIL: flame.svg is not an SVG"; exit 1; }
 
@@ -774,7 +746,7 @@ run_serve_stage() {
   mkdir -p "$VOUT"
   local NODE="$BUILD_DIR/tools/gtv-node"
   local SERVE="$BUILD_DIR/tools/gtv-serve"
-  local PM="$BUILD_DIR/tools/gtv-postmortem"
+  local OBS="$BUILD_DIR/tools/gtv-obs"
   local ARGS="--clients 2 --rounds 2 --rows 96 --batch 32 --d-steps 2 --seed 7"
   local PORT=27741 MPORT=27742
   command -v python3 > /dev/null 2>&1 \
@@ -844,8 +816,8 @@ EOF
     || { echo "FAIL: gtv-serve exited nonzero on drain"; cat "$VOUT/daemon.log"; exit 1; }
 
   # 6. The black box must read back a clean exit.
-  "$PM" "$VOUT/serve.bbox" > "$VOUT/postmortem.txt" \
-    || { echo "FAIL: gtv-postmortem rejected the serve ring"; \
+  "$OBS" postmortem "$VOUT/serve.bbox" > "$VOUT/postmortem.txt" \
+    || { echo "FAIL: gtv-obs postmortem rejected the serve ring"; \
          cat "$VOUT/postmortem.txt"; exit 1; }
   grep -q "all parties shut down cleanly" "$VOUT/postmortem.txt" \
     || { echo "FAIL: postmortem did not see a clean serve shutdown"; \
@@ -927,34 +899,14 @@ run_resume_stage() {
   command -v python3 > /dev/null 2>&1 \
     || { echo "FAIL: the resume stage needs python3"; exit 1; }
 
-  wait_leg() {
-    local TAG="$1"
-    shift
-    local PID FAILED=0
-    for PID in "$@"; do wait "$PID" || FAILED=1; done
-    if [ "$FAILED" -ne 0 ]; then
-      echo "FAIL: a gtv-node process exited nonzero (leg $TAG)"
-      cat "$EOUT/$TAG"*.json
-      exit 1
-    fi
-  }
-
-  # Four OS processes with shared flags; the driver additionally writes
-  # <tag>.ckpt so legs can compare final model hashes bit-for-bit.
+  # One leg of four OS processes with shared flags; the driver additionally
+  # writes <tag>.ckpt so legs can compare final model hashes bit-for-bit.
   run4() {
     local TAG="$1" PORT="$2" DPORT="$3"
     shift 3
-    local SH="$ARGS $* --port $PORT --driver-port $DPORT"
-    "$NODE" --role server $SH > "$EOUT/${TAG}_server.json" 2>&1 &
-    local S_PID=$!
-    "$NODE" --role client0 $SH > "$EOUT/${TAG}_client0.json" 2>&1 &
-    local C0_PID=$!
-    "$NODE" --role client1 $SH > "$EOUT/${TAG}_client1.json" 2>&1 &
-    local C1_PID=$!
-    "$NODE" --role driver $SH --checkpoint-out "$EOUT/${TAG}.ckpt" \
-      > "$EOUT/${TAG}_driver.json" 2>&1 &
-    local D_PID=$!
-    wait_leg "$TAG" "$S_PID" "$C0_PID" "$C1_PID" "$D_PID"
+    fleet_start "$EOUT/${TAG}_" "--checkpoint-out $EOUT/${TAG}.ckpt" \
+      $ARGS "$@" --port "$PORT" --driver-port "$DPORT"
+    fleet_wait "$EOUT/${TAG}_"
   }
 
   # 1. In-proc references for both horizons.
@@ -984,15 +936,8 @@ run_resume_stage() {
   #    rounds with recoveries >= 1.
   local KARGS="$ARGS --rounds 40 --straggle-us 10000 --port 27767 --driver-port 27768"
   KARGS="$KARGS --train-ckpt $EOUT/crash.gtvt --ckpt-every 2 --rejoin-wait-ms 30000"
-  "$NODE" --role server $KARGS > "$EOUT/crash_server.json" 2>&1 &
-  local S_PID=$!
-  "$NODE" --role client0 $KARGS > "$EOUT/crash_client0.json" 2>&1 &
-  local C0_PID=$!
-  "$NODE" --role client1 $KARGS > "$EOUT/crash_client1.json" 2>&1 &
-  local C1_PID=$!
-  "$NODE" --role driver $KARGS --checkpoint-out "$EOUT/crash.ckpt" \
-    > "$EOUT/crash_driver.json" 2>&1 &
-  local D_PID=$!
+  fleet_start "$EOUT/crash_" "--checkpoint-out $EOUT/crash.ckpt" $KARGS
+  local C1_PID="${FLEET_PIDS[2]}"
 
   local TRY
   for TRY in $(seq 1 400); do
@@ -1013,8 +958,8 @@ run_resume_stage() {
   # Relaunch at once: the rejoiner may reconnect before the driver even
   # notices the death, which recovery must handle too.
   "$NODE" --role client1 $KARGS --rejoin > "$EOUT/crash_rejoin.json" 2>&1 &
-  local R_PID=$!
-  wait_leg crash "$S_PID" "$C0_PID" "$R_PID" "$D_PID"
+  FLEET_PIDS[2]=$!
+  fleet_wait "$EOUT/crash_"
 
   # 6. DP parity over TCP: same noise std, per-party noise streams, so
   #    the deployment must match the in-proc DP trainer.
@@ -1151,13 +1096,13 @@ print(f"trace OK: {n} events, {len(names)} span names, "
 EOF
   fi
 
-  # gtv-prof must merge all three artefacts without error.
-  "$BUILD_DIR/tools/gtv-prof" \
+  # prof must merge all three artefacts without error.
+  "$BUILD_DIR/tools/gtv-obs" prof \
     --profile "$SMOKE_OUT"/comm_overhead.profile.json \
     --telemetry "$SMOKE_OUT"/comm_overhead.telemetry.json \
     --trace "$TRACE" > "$SMOKE_OUT/prof_report.txt"
   grep -q "== coverage ==" "$SMOKE_OUT/prof_report.txt" \
-    || { echo "FAIL: gtv-prof produced no coverage section"; exit 1; }
+    || { echo "FAIL: gtv-obs prof produced no coverage section"; exit 1; }
 
   run_transport_stage
   run_kernels_stage
@@ -1365,20 +1310,20 @@ print(f"health smoke OK: seed silent, divergence fatal at round "
 EOF
 fi
 
-# 4. The health tooling must render the artefacts without error.
-"$BUILD_DIR/tools/gtv-prof" \
+# 4. prof must render the health artefacts without error.
+"$BUILD_DIR/tools/gtv-obs" prof \
   --telemetry "$HEALTH_OUT"/diverged/comm_overhead.telemetry.json \
   > "$HEALTH_OUT/prof_health.txt"
 grep -q "== health alerts" "$HEALTH_OUT/prof_health.txt" \
-  || { echo "FAIL: gtv-prof did not pick up the sibling health.json"; exit 1; }
-"$BUILD_DIR/tools/gtv-health" \
+  || { echo "FAIL: gtv-obs prof did not pick up the sibling health.json"; exit 1; }
+"$BUILD_DIR/tools/gtv-obs" prof \
   --health "$HEALTH_OUT"/diverged/comm_overhead.health.json \
   --telemetry "$HEALTH_OUT"/diverged/comm_overhead.telemetry.json \
   > "$HEALTH_OUT/health_report.txt"
 grep -q "== per-round timeline" "$HEALTH_OUT/health_report.txt" \
-  || { echo "FAIL: gtv-health produced no timeline"; exit 1; }
+  || { echo "FAIL: gtv-obs prof --health produced no timeline"; exit 1; }
 grep -q "== run context" "$HEALTH_OUT/health_report.txt" \
-  || { echo "FAIL: gtv-health produced no merged run context"; exit 1; }
+  || { echo "FAIL: gtv-obs prof --telemetry produced no run context"; exit 1; }
 
 # 5. Health over TCP: the DriverNode runs the rules on the parties' round
 #    reports and probes through the clients, so 4 processes armed with
@@ -1390,19 +1335,8 @@ HTCP="$HEALTH_OUT/tcp"
 mkdir -p "$HTCP"
 HARGS="--clients 2 --rounds 12 --rows 96 --batch 32 --d-steps 2 --seed 7"
 GTV_HEALTH=1 "$BUILD_DIR/tools/gtv-node" --role inproc $HARGS > "$HTCP/inproc.json"
-HPIDS=()
-for ROLE in server client0 client1 driver; do
-  GTV_HEALTH=1 "$BUILD_DIR/tools/gtv-node" --role "$ROLE" $HARGS \
-    --port 27771 --driver-port 27772 > "$HTCP/$ROLE.json" 2>&1 &
-  HPIDS+=($!)
-done
-HFAILED=0
-for PID in "${HPIDS[@]}"; do wait "$PID" || HFAILED=1; done
-if [ "$HFAILED" -ne 0 ]; then
-  echo "FAIL: a health-armed gtv-node process exited nonzero"
-  cat "$HTCP"/*.json
-  exit 1
-fi
+GTV_HEALTH=1 fleet_start "$HTCP/" "" $HARGS --port 27771 --driver-port 27772
+fleet_wait "$HTCP/"
 python3 - "$HTCP" <<'EOF'
 import json, sys
 out = sys.argv[1]

@@ -81,7 +81,7 @@ struct RetryPolicy {
 // send ordinal (send half) or receive ordinal (recv half) in the low 20 —
 // so the n-th send pairs with the n-th receive whether the two halves are
 // emitted by one meter or by two OS processes whose trace files are merged
-// (gtv-prof --trace a.jsonl --trace b.jsonl). Ids stay below 2^53 so JSON
+// (gtv-obs prof --trace a.jsonl --trace b.jsonl). Ids stay below 2^53 so JSON
 // double parsing cannot lose precision. Party pids are parsed from the
 // link name ("server" = 0, "clientK" = K + 1) and cached per link
 // alongside the counter handles, so the traced hot path does no string

@@ -362,8 +362,8 @@ std::string Collector::status_json() const {
        << ",\"snapshots\":" << view.snapshots
        << ",\"reconnects\":" << view.reconnects << ",\"clock\":{\"valid\":"
        << (view.have_clock ? "true" : "false")
-       << ",\"offset_us\":" << view.clock_offset_us
-       << ",\"rtt_us\":" << view.clock_rtt_us << "},\"snapshot\":"
+       << ",\"offset_us\":" << json::fixed_us(view.clock_offset_us)
+       << ",\"rtt_us\":" << json::fixed_us(view.clock_rtt_us) << "},\"snapshot\":"
        << view.latest.to_json() << ",\"loss_history\":[";
     for (std::size_t i = 0; i < view.loss_history.size(); ++i) {
       if (i > 0) os << ",";
@@ -407,20 +407,14 @@ std::string Collector::prometheus() const {
 }
 
 std::string Collector::offsets_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream os;
-  os << "{\"schema_version\":1,\"reference\":\"" << kCollectorParty
-     << "\",\"offsets\":{";
-  bool first = true;
-  for (const auto& [party, view] : views_) {
-    if (!view.have_clock) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(party) << "\":{\"offset_us\":" << view.clock_offset_us
-       << ",\"rtt_us\":" << view.clock_rtt_us << "}";
+  json::ClockOffsets offsets;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [party, view] : views_) {
+      if (view.have_clock) offsets[party] = {view.clock_offset_us, view.clock_rtt_us};
+    }
   }
-  os << "}}";
-  return os.str();
+  return json::offsets_json(kCollectorParty, offsets);
 }
 
 // --- HTTP scrape endpoint --------------------------------------------------------
@@ -455,7 +449,7 @@ void Collector::http_loop() {
     if (rc <= 0) continue;
     const int fd = ::accept(http_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    // Requests are one GET line from a scraper or gtv-top; serving them
+    // Requests are one GET line from a scraper or gtv-obs top; serving them
     // inline keeps the endpoint single-threaded and unkillable by a slow
     // client (bounded read below).
     handle_http_client(fd);

@@ -10,13 +10,13 @@
 //   │ LiveStatus ◄────── node loop       │ Collector        │
 //   │ SnapshotPublisher ────────────────►│  · PartyView map │──► /metrics
 //   │  (own TcpTransport)   snapshots    │  · staleness     │──► /status
-//   └────────────────┘                   │  · clock offsets │──► gtv-top
+//   └────────────────┘                   │  · clock offsets │──► gtv-obs top
 //                                        └──────────────────┘
 //
 // Clock alignment rides on the transport handshake: every publisher dial
 // runs the NTP-style @clock exchange (net/tcp.h), so the Collector knows
 // peer_clock - collector_clock per party and can timestamp-align incoming
-// frames (and export the offsets for gtv-prof --offsets).
+// frames (and export the offsets file, obs/json.h, for gtv-obs --offsets).
 //
 // Robustness contract: a party that goes silent is marked stale after
 // stale_after_ms (the Collector keeps serving its last snapshot); a party
@@ -144,7 +144,7 @@ class Collector {
   std::uint16_t listen(std::uint16_t port);
 
   // Minimal HTTP/1.0 endpoint: GET /metrics (Prometheus text aggregated
-  // across parties with party labels), GET /status (JSON for gtv-top),
+  // across parties with party labels), GET /status (JSON for gtv-obs top),
   // GET /healthz. Returns the bound port.
   std::uint16_t serve_http(std::uint16_t port);
 
@@ -162,15 +162,15 @@ class Collector {
   bool wait_for_snapshots(std::size_t min_parties, std::uint64_t min_snapshots,
                           int timeout_ms) const;
 
-  // JSON document for gtv-top: collector info + one entry per party.
+  // JSON document for gtv-obs top: collector info + one entry per party.
   std::string status_json() const;
 
   // Aggregated Prometheus exposition: every party's dump re-labeled with
   // party="<name>", plus the collector's own gtv_agg_* series.
   std::string prometheus() const;
 
-  // Offsets file for gtv-prof --offsets: party -> {offset_us, rtt_us}
-  // relative to this collector's clock.
+  // The clock-offsets file (json::offsets_json) of every party with a
+  // measured clock, relative to this collector's clock.
   std::string offsets_json() const;
 
   // Ingest latency (send->ingest, clock-aligned) distribution, ms.

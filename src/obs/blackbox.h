@@ -57,7 +57,7 @@
 // + /proc/self/task) to append its own backtrace.
 //
 // The offline half — read_ring / validate / per-record decode — is used by
-// tools/gtv-postmortem and the tests; it allocates freely.
+// gtv-obs postmortem and the tests; it allocates freely.
 #pragma once
 
 #include <atomic>

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace gtv::obs::json {
 
@@ -230,6 +232,26 @@ std::string Value::str_or(const std::string& key, const std::string& fallback) c
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
+Value parse_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  try {
+    return parse(os.str());
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
+
+void require_schema(const Value& doc, double lo, double hi, const std::string& what) {
+  const double got = doc.num_or("schema_version", -1);
+  if (got < lo || got > hi) {
+    throw std::runtime_error(what + ": unsupported schema_version " +
+                             std::to_string(got));
+  }
+}
+
 std::string escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -271,6 +293,35 @@ std::string prom_label_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+std::string fixed_us(double us) {
+  char buf[320];  // "%.3f" of safe_num's ±1e308 clamp is 314 characters
+  std::snprintf(buf, sizeof(buf), "%.3f", safe_num(us));
+  return buf;
+}
+
+std::string offsets_json(const std::string& reference, const ClockOffsets& offsets) {
+  std::string out = "{\"schema_version\":1,\"reference\":\"" + escape(reference) +
+                    "\",\"offsets\":{";
+  bool first = true;
+  for (const auto& [party, off] : offsets) {
+    if (!first) out += ",";
+    first = false;
+    out += "\"" + escape(party) + "\":{\"offset_us\":" + fixed_us(off.offset_us) +
+           ",\"rtt_us\":" + fixed_us(off.rtt_us) + "}";
+  }
+  return out + "}}";
+}
+
+ClockOffsets load_offsets(const std::string& path) {
+  const Value doc = parse_file(path);
+  require_schema(doc, 1, 1, path);
+  ClockOffsets offsets;
+  for (const auto& [party, entry] : doc.at("offsets").object) {
+    offsets[party] = ClockOffset{entry.num_or("offset_us", 0), entry.num_or("rtt_us", 0)};
+  }
+  return offsets;
 }
 
 }  // namespace gtv::obs::json

@@ -1,7 +1,7 @@
 // gtv::obs — minimal JSON reader for the observability artefacts.
 //
 // The obs stack *emits* JSON by hand (metrics snapshots, profile tables,
-// trace JSONL); this is the matching reader used by tools/gtv-prof to merge
+// trace JSONL); this is the matching reader used by tools/gtv-obs to merge
 // those artefacts and by tests to prove every emitted line parses back.
 // It is a strict recursive-descent parser over the JSON grammar (objects,
 // arrays, strings with escapes, numbers, true/false/null); it is not meant
@@ -48,6 +48,14 @@ class Value {
 // std::runtime_error with position info on malformed input.
 Value parse(std::string_view text);
 
+// Reads and parses the JSON document at `path`. Throws std::runtime_error
+// naming the path when the file cannot be read or does not parse.
+Value parse_file(const std::string& path);
+
+// Throws std::runtime_error unless `doc`'s schema_version lies in [lo, hi];
+// `what` (usually the path) prefixes the message.
+void require_schema(const Value& doc, double lo, double hi, const std::string& what);
+
 // --- emitter helpers --------------------------------------------------------
 // The single home for the string/number escaping every hand-written JSON
 // emitter in the obs stack shares (metrics snapshots, health logs,
@@ -64,5 +72,33 @@ double safe_num(double v);
 // Prometheus label-value escaping: backslash, double quote, newline only
 // (the exposition format, unlike JSON, leaves other bytes untouched).
 std::string prom_label_escape(const std::string& s);
+
+// Microseconds as fixed-point text with 3 decimals. Offsets of a second or
+// more keep every microsecond (the stream default of 6 significant digits
+// would print 1234567.25 as 1.23457e+06).
+std::string fixed_us(double us);
+
+// --- clock-offsets file -----------------------------------------------------
+// The file `gtv-node --offsets-out` writes and `gtv-obs prof|flame|postmortem
+// --offsets` read: schema v1,
+//   {"schema_version":1,"reference":"collector",
+//    "offsets":{party:{"offset_us":...,"rtt_us":...}}}
+
+// One party's clock against the reference clock: offset_us = party_clock -
+// reference_clock, measured NTP-style; rtt_us is the min RTT of the winning
+// sample, the alignment error bound.
+struct ClockOffset {
+  double offset_us = 0;
+  double rtt_us = 0;
+};
+using ClockOffsets = std::map<std::string, ClockOffset>;
+
+// The one writer of the offsets file.
+std::string offsets_json(const std::string& reference, const ClockOffsets& offsets);
+
+// The one reader. Throws std::runtime_error on a missing or unreadable file,
+// malformed JSON or a schema_version other than 1, and std::out_of_range
+// when the "offsets" object is missing.
+ClockOffsets load_offsets(const std::string& path);
 
 }  // namespace gtv::obs::json

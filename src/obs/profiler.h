@@ -15,7 +15,7 @@
 //
 // Profiler::report() renders the aggregate as a sorted text table;
 // Profiler::to_json() emits the machine-readable form (stamped with
-// "schema_version" so downstream tooling such as tools/gtv-prof can evolve
+// "schema_version" so downstream tooling such as gtv-obs prof can evolve
 // safely).
 #pragma once
 

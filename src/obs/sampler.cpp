@@ -25,6 +25,7 @@
 #include <tuple>
 #include <unordered_map>
 
+#include "obs/snapshot.h"
 #include "obs/thread_name.h"
 
 #if defined(__GLIBC__) && __has_include(<execinfo.h>)
@@ -538,18 +539,6 @@ struct Sampler::Impl {
     if (resolved != nullptr) *resolved = it->second.second;
     return it->second.first;
   }
-
-  std::string phase_label(std::uint32_t phase) const {
-    if (options.phase_name != nullptr) {
-      const char* s = options.phase_name(phase);
-      if (s != nullptr && s[0] != '\0') {
-        std::string label(s);
-        sanitize_frame(label);
-        return label;
-      }
-    }
-    return "p" + std::to_string(phase);
-  }
 };
 
 Sampler* Sampler::start_global(Options options,
@@ -738,7 +727,7 @@ std::string Sampler::folded(const std::string& party) const {
     line += ';';
     line += key.on_cpu ? "cpu" : "offcpu";
     line += ';';
-    line += impl_->phase_label(key.phase);
+    line += agg::to_string(static_cast<agg::Phase>(key.phase));
     line += ';';
     line += key.thread;
     // Root-first: captured leaf-first, emit reversed.

@@ -46,10 +46,6 @@ struct SamplerOptions {
   int wall_hz = 13;            // off-CPU sweep rate over wall time
   int drain_interval_ms = 50;  // aggregator drain cadence
   int top_k = 5;               // hot entries surfaced into Snapshot frames
-  // Optional pretty-printer for the phase tag (e.g. agg::Phase names). Must
-  // return a stable string for any u32; nullptr renders "p<N>". Called from
-  // ordinary (non-signal) context only.
-  const char* (*phase_name)(std::uint32_t) = nullptr;
 };
 
 struct SamplerStats {
@@ -73,7 +69,8 @@ class Sampler {
   // Arms the process-wide sampler: installs the SIGPROF/SIGUSR2 handlers,
   // pre-warms glibc backtrace (it lazily dlopens libgcc — must happen outside
   // signal context), starts the timers and the aggregator thread. `round` /
-  // `phase` may be nullptr (samples tagged 0). Re-arming after stop() resets
+  // `phase` may be nullptr (samples tagged 0). Phase tags print as
+  // agg::Phase names (obs/snapshot.h). Re-arming after stop() resets
   // all counters and folded state. Returns the singleton; never destroyed
   // (signal handlers may race teardown), only disarmed.
   static Sampler* start_global(Options options,

@@ -108,21 +108,6 @@ class Reader {
 
 }  // namespace
 
-const char* to_string(Phase phase) {
-  switch (phase) {
-    case Phase::kIdle: return "idle";
-    case Phase::kSetup: return "setup";
-    case Phase::kCritic: return "critic";
-    case Phase::kGenerator: return "generator";
-    case Phase::kShuffle: return "shuffle";
-    case Phase::kDone: return "done";
-    case Phase::kServeWait: return "serve-wait";
-    case Phase::kServeBatch: return "serve-batch";
-    case Phase::kServeDrain: return "serve-drain";
-  }
-  return "unknown";
-}
-
 std::vector<std::uint8_t> serialize_snapshot(const Snapshot& snap) {
   if (snap.links.size() > kMaxLinks) {
     throw net::WireError("snapshot: too many links (" +

@@ -39,7 +39,22 @@ enum class Phase : std::uint32_t {
   kServeDrain = 8,
 };
 
-const char* to_string(Phase phase);
+// The one table of phase names: the telemetry plane, the sampler's folded
+// phase tags and gtv-obs postmortem all print these.
+inline const char* to_string(Phase phase) {
+  switch (phase) {
+    case Phase::kIdle: return "idle";
+    case Phase::kSetup: return "setup";
+    case Phase::kCritic: return "critic";
+    case Phase::kGenerator: return "generator";
+    case Phase::kShuffle: return "shuffle";
+    case Phase::kDone: return "done";
+    case Phase::kServeWait: return "serve-wait";
+    case Phase::kServeBatch: return "serve-batch";
+    case Phase::kServeDrain: return "serve-drain";
+  }
+  return "unknown";
+}
 
 // Lock-free live training status, updated by the node command loops and
 // read by the snapshot publisher. All loads/stores are relaxed: telemetry

@@ -141,6 +141,76 @@ ClientTrainPart parse_client_train_part(const std::uint8_t* data, std::size_t si
   return part;
 }
 
+// --- container envelope ----------------------------------------------------------
+// GTVK and GTVT share one envelope: u32 magic, u32 version, u64 payload
+// length, payload, u32 CRC-32 of the payload (layout in checkpoint.h).
+
+constexpr std::size_t kEnvelopeHeader = 16;
+
+// Writes the envelope atomically (tmp + rename): checkpoints are rewritten
+// in place, so a crash mid-write must leave the previous file intact.
+void write_envelope(const std::string& path, std::uint32_t magic, std::uint32_t version,
+                    const std::vector<std::uint8_t>& payload, const std::string& who) {
+  std::vector<std::uint8_t> out;
+  out.reserve(payload.size() + kEnvelopeHeader + 4);
+  bytes::put_u32(out, magic);
+  bytes::put_u32(out, version);
+  bytes::put_u64(out, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  bytes::put_u32(out, nn::state_crc32(payload.data(), payload.size()));
+
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
+    if (!file) throw std::runtime_error(who + ": cannot open '" + tmp + "'");
+    file.write(reinterpret_cast<const char*>(out.data()),
+               static_cast<std::streamsize>(out.size()));
+    file.flush();
+    if (!file) throw std::runtime_error(who + ": write failed for '" + tmp + "'");
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error(who + ": rename to '" + path + "' failed");
+  }
+}
+
+// Reads the whole file in one go and validates magic, version, exact size
+// and CRC. Returns the file bytes; the payload is the `payload_len` bytes
+// from kEnvelopeHeader on.
+std::vector<std::uint8_t> read_envelope(const std::string& path, std::uint32_t magic,
+                                        std::uint32_t version, const std::string& who,
+                                        std::size_t& payload_len) {
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
+  if (!file) throw CheckpointError(who + ": cannot open '" + path + "'");
+  const std::streamsize size = file.tellg();
+  file.seekg(0, std::ios::beg);
+  std::vector<std::uint8_t> raw(static_cast<std::size_t>(size));
+  if (size > 0) file.read(reinterpret_cast<char*>(raw.data()), size);
+  if (!file) throw CheckpointError(who + ": read failed for '" + path + "'");
+
+  bytes::Reader header(raw.data(), raw.size(), who.c_str());
+  if (header.u32("magic") != magic) {
+    throw CheckpointError(who + ": bad magic in '" + path + "'");
+  }
+  const std::uint32_t got_version = header.u32("version");
+  if (got_version != version) {
+    throw CheckpointError(who + ": unsupported version " + std::to_string(got_version));
+  }
+  // The length comes from the file: compare it with the bytes present
+  // rather than add to it, which could wrap around.
+  const std::uint64_t len = header.u64("payload length");
+  if (raw.size() < kEnvelopeHeader + 4 || len != raw.size() - kEnvelopeHeader - 4) {
+    throw CheckpointError(who + ": size mismatch in '" + path +
+                          "' (truncated or trailing bytes)");
+  }
+  payload_len = static_cast<std::size_t>(len);
+  const std::uint8_t* payload = raw.data() + kEnvelopeHeader;
+  if (bytes::get_u32(payload + payload_len) != nn::state_crc32(payload, payload_len)) {
+    throw CheckpointError(who + ": CRC mismatch in '" + path + "'");
+  }
+  return raw;
+}
+
 }  // namespace
 
 NetState snapshot_net(const NetArch& arch, nn::Module& net) {
@@ -278,71 +348,26 @@ void save_train_checkpoint(const TrainCheckpoint& checkpoint, const std::string&
   append_server_train_part(payload, checkpoint.server);
   bytes::put_u64(payload, checkpoint.clients.size());
   for (const auto& client : checkpoint.clients) append_client_train_part(payload, client);
-
-  std::vector<std::uint8_t> out;
-  out.reserve(payload.size() + 20);
-  bytes::put_u32(out, kTrainCheckpointMagic);
-  bytes::put_u32(out, kTrainCheckpointVersion);
-  bytes::put_u64(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  bytes::put_u32(out, nn::state_crc32(payload.data(), payload.size()));
-
-  // Atomic: train checkpoints are written mid-run, exactly when crashes
-  // happen, so the previous good file must survive a torn write.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) throw std::runtime_error("save_train_checkpoint: cannot open '" + tmp + "'");
-    file.write(reinterpret_cast<const char*>(out.data()),
-               static_cast<std::streamsize>(out.size()));
-    file.flush();
-    if (!file) throw std::runtime_error("save_train_checkpoint: write failed for '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("save_train_checkpoint: rename to '" + path + "' failed");
-  }
+  write_envelope(path, kTrainCheckpointMagic, kTrainCheckpointVersion, payload,
+                 "save_train_checkpoint");
 }
 
 TrainCheckpoint load_train_checkpoint(const std::string& path) {
-  std::ifstream file(path, std::ios::binary | std::ios::ate);
-  if (!file) throw CheckpointError("load_train_checkpoint: cannot open '" + path + "'");
-  const std::streamsize size = file.tellg();
-  file.seekg(0, std::ios::beg);
-  std::vector<std::uint8_t> raw(static_cast<std::size_t>(size));
-  if (size > 0) file.read(reinterpret_cast<char*>(raw.data()), size);
-  if (!file) throw CheckpointError("load_train_checkpoint: read failed for '" + path + "'");
-
   try {
-    bytes::Reader header(raw.data(), raw.size(), "load_train_checkpoint");
-    if (header.u32("magic") != kTrainCheckpointMagic) {
-      throw CheckpointError("load_train_checkpoint: bad magic in '" + path + "'");
-    }
-    const std::uint32_t version = header.u32("version");
-    if (version != kTrainCheckpointVersion) {
-      throw CheckpointError("load_train_checkpoint: unsupported version " +
-                            std::to_string(version));
-    }
-    const std::uint64_t payload_len = header.u64("payload length");
-    if (raw.size() != 16 + payload_len + 4) {
-      throw CheckpointError("load_train_checkpoint: size mismatch in '" + path +
-                            "' (truncated or trailing bytes)");
-    }
-    const std::uint8_t* payload = raw.data() + 16;
-    const std::uint32_t stored_crc = bytes::get_u32(payload + payload_len);
-    if (stored_crc != nn::state_crc32(payload, static_cast<std::size_t>(payload_len))) {
-      throw CheckpointError("load_train_checkpoint: CRC mismatch in '" + path + "'");
-    }
+    std::size_t payload_len = 0;
+    const std::vector<std::uint8_t> raw =
+        read_envelope(path, kTrainCheckpointMagic, kTrainCheckpointVersion,
+                      "load_train_checkpoint", payload_len);
+    const std::uint8_t* payload = raw.data() + kEnvelopeHeader;
 
-    bytes::Reader r(payload, static_cast<std::size_t>(payload_len), "load_train_checkpoint");
+    bytes::Reader r(payload, payload_len, "load_train_checkpoint");
     TrainCheckpoint ckpt;
     ckpt.seed = r.u64("seed");
     ckpt.round = r.u64("round");
     std::size_t offset = r.offset;
-    ckpt.shuffle_stream = parse_rng_state(payload, static_cast<std::size_t>(payload_len), offset);
-    ckpt.publish_stream = parse_rng_state(payload, static_cast<std::size_t>(payload_len), offset);
-    bytes::Reader hist(payload, static_cast<std::size_t>(payload_len), "load_train_checkpoint",
-                       offset);
+    ckpt.shuffle_stream = parse_rng_state(payload, payload_len, offset);
+    ckpt.publish_stream = parse_rng_state(payload, payload_len, offset);
+    bytes::Reader hist(payload, payload_len, "load_train_checkpoint", offset);
     const std::uint64_t n_history = hist.u64("history count");
     if (n_history > payload_len) {
       throw CheckpointError("load_train_checkpoint: implausible history count");
@@ -356,17 +381,15 @@ TrainCheckpoint load_train_checkpoint(const std::string& path) {
       ckpt.history.push_back(losses);
     }
     offset = hist.offset;
-    ckpt.server = parse_server_train_part(payload, static_cast<std::size_t>(payload_len), offset);
-    bytes::Reader tail(payload, static_cast<std::size_t>(payload_len), "load_train_checkpoint",
-                       offset);
+    ckpt.server = parse_server_train_part(payload, payload_len, offset);
+    bytes::Reader tail(payload, payload_len, "load_train_checkpoint", offset);
     const std::uint64_t n_clients = tail.u64("client count");
     if (n_clients > 4096) {
       throw CheckpointError("load_train_checkpoint: implausible client count");
     }
     offset = tail.offset;
     for (std::uint64_t i = 0; i < n_clients; ++i) {
-      ckpt.clients.push_back(
-          parse_client_train_part(payload, static_cast<std::size_t>(payload_len), offset));
+      ckpt.clients.push_back(parse_client_train_part(payload, payload_len, offset));
     }
     if (offset != payload_len) {
       throw CheckpointError("load_train_checkpoint: trailing bytes inside payload");
@@ -389,52 +412,17 @@ void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
   append_net_state(payload, checkpoint.g_top);
   bytes::put_u64(payload, checkpoint.clients.size());
   for (const auto& client : checkpoint.clients) append_client_part(payload, client);
-
-  std::vector<std::uint8_t> out;
-  out.reserve(payload.size() + 20);
-  bytes::put_u32(out, kCheckpointMagic);
-  bytes::put_u32(out, kCheckpointVersion);
-  bytes::put_u64(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  bytes::put_u32(out, nn::state_crc32(payload.data(), payload.size()));
-
-  std::ofstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("save_checkpoint: cannot open '" + path + "'");
-  file.write(reinterpret_cast<const char*>(out.data()),
-             static_cast<std::streamsize>(out.size()));
-  if (!file) throw std::runtime_error("save_checkpoint: write failed for '" + path + "'");
+  write_envelope(path, kCheckpointMagic, kCheckpointVersion, payload, "save_checkpoint");
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
-  std::ifstream file(path, std::ios::binary | std::ios::ate);
-  if (!file) throw CheckpointError("load_checkpoint: cannot open '" + path + "'");
-  const std::streamsize size = file.tellg();
-  file.seekg(0, std::ios::beg);
-  std::vector<std::uint8_t> raw(static_cast<std::size_t>(size));
-  if (size > 0) file.read(reinterpret_cast<char*>(raw.data()), size);
-  if (!file) throw CheckpointError("load_checkpoint: read failed for '" + path + "'");
-
   try {
-    bytes::Reader header(raw.data(), raw.size(), "load_checkpoint");
-    if (header.u32("magic") != kCheckpointMagic) {
-      throw CheckpointError("load_checkpoint: bad magic in '" + path + "'");
-    }
-    const std::uint32_t version = header.u32("version");
-    if (version != kCheckpointVersion) {
-      throw CheckpointError("load_checkpoint: unsupported version " + std::to_string(version));
-    }
-    const std::uint64_t payload_len = header.u64("payload length");
-    if (raw.size() != 16 + payload_len + 4) {
-      throw CheckpointError("load_checkpoint: size mismatch in '" + path +
-                            "' (truncated or trailing bytes)");
-    }
-    const std::uint8_t* payload = raw.data() + 16;
-    const std::uint32_t stored_crc = bytes::get_u32(payload + payload_len);
-    if (stored_crc != nn::state_crc32(payload, static_cast<std::size_t>(payload_len))) {
-      throw CheckpointError("load_checkpoint: CRC mismatch in '" + path + "'");
-    }
+    std::size_t payload_len = 0;
+    const std::vector<std::uint8_t> raw = read_envelope(
+        path, kCheckpointMagic, kCheckpointVersion, "load_checkpoint", payload_len);
+    const std::uint8_t* payload = raw.data() + kEnvelopeHeader;
 
-    bytes::Reader r(payload, static_cast<std::size_t>(payload_len), "load_checkpoint");
+    bytes::Reader r(payload, payload_len, "load_checkpoint");
     Checkpoint ckpt;
     ckpt.model_hash = r.u64("model hash");
     ckpt.seed = r.u64("seed");
@@ -442,15 +430,13 @@ Checkpoint load_checkpoint(const std::string& path) {
     ckpt.noise_dim = r.u64("noise dim");
     ckpt.gumbel_tau = r.f32("gumbel tau");
     std::size_t offset = r.offset;
-    ckpt.g_top = parse_net_state(payload, static_cast<std::size_t>(payload_len), offset);
-    bytes::Reader tail(payload, static_cast<std::size_t>(payload_len), "load_checkpoint",
-                       offset);
+    ckpt.g_top = parse_net_state(payload, payload_len, offset);
+    bytes::Reader tail(payload, payload_len, "load_checkpoint", offset);
     const std::uint64_t n_clients = tail.u64("client count");
     if (n_clients > 4096) throw CheckpointError("load_checkpoint: implausible client count");
     offset = tail.offset;
     for (std::uint64_t i = 0; i < n_clients; ++i) {
-      ckpt.clients.push_back(
-          parse_client_part(payload, static_cast<std::size_t>(payload_len), offset));
+      ckpt.clients.push_back(parse_client_part(payload, payload_len, offset));
     }
     if (offset != payload_len) {
       throw CheckpointError("load_checkpoint: trailing bytes inside payload");

@@ -37,9 +37,12 @@
 // positions (including the Box-Muller spare), each client's current row
 // order, the driver's shuffle/publish streams, the completed-round
 // counter, and the loss history so far. Restoring it reproduces the
-// uninterrupted run's loss trajectory bit-for-bit. save_train_checkpoint
-// writes atomically (tmp + rename) because checkpoints are written
-// mid-training, exactly when crashes happen.
+// uninterrupted run's loss trajectory bit-for-bit.
+//
+// Both containers are written and read by one envelope codec; every save
+// is atomic (tmp + rename), so a crash mid-write leaves the previous file
+// in place. GTVT checkpoints are rewritten mid-training, exactly when
+// crashes happen.
 #pragma once
 
 #include <cstdint>
@@ -173,8 +176,9 @@ ClientTrainPart decode_client_train_part(const std::vector<std::uint8_t>& bytes)
 void save_train_checkpoint(const TrainCheckpoint& checkpoint, const std::string& path);
 TrainCheckpoint load_train_checkpoint(const std::string& path);
 
-// Whole-container file I/O. save throws std::runtime_error on I/O
-// failure; load throws CheckpointError on any malformed input.
+// Whole-container file I/O. save writes `path`.tmp and renames, like
+// save_train_checkpoint, and throws std::runtime_error on I/O failure;
+// load throws CheckpointError on any malformed input.
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path);
 Checkpoint load_checkpoint(const std::string& path);
 

@@ -34,7 +34,7 @@
 // serve.errors counters, serve.batch_rows occupancy histogram and
 // serve.request_ms / serve.batch_ms latency histograms in the global
 // MetricsRegistry (scrapable via /metrics), plus LiveStatus phases
-// kServeWait / kServeBatch / kServeDrain so gtv-top, the sampler and the
+// kServeWait / kServeBatch / kServeDrain so gtv-obs top, the sampler and the
 // black box work on a serving process unchanged.
 #pragma once
 

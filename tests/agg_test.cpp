@@ -375,7 +375,7 @@ TEST(CollectorEndToEndTest, PublishersReportWithClockAlignedWithinRttBound) {
     EXPECT_NEAR(snap.num_or("g_loss", 0), 0.25, 1e-6);
   }
   EXPECT_TRUE(saw_server);
-  // Measured offsets are exported for gtv-prof --offsets.
+  // Measured offsets are exported for gtv-obs prof|flame|postmortem --offsets.
   const json::Value offsets = json::parse(collector.offsets_json());
   EXPECT_EQ(offsets.num_or("schema_version", 0), 1);
   EXPECT_EQ(offsets.at("offsets").object.size(), 2u);

@@ -155,6 +155,23 @@ TEST(CheckpointTest, CorruptContainersRejected) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointTest, WrappingPayloadLengthRejected) {
+  // A bare 16-byte header whose payload length wraps 16 + len + 4 around
+  // to the file size: the size check must not be fooled into reading a
+  // CRC and payload that are not there.
+  const std::string path = temp_path("gtv_serve_wrapping.ckpt");
+  {
+    std::ofstream file(path, std::ios::binary);
+    const std::uint32_t magic = kCheckpointMagic, version = kCheckpointVersion;
+    const std::uint64_t wrapping_len = ~std::uint64_t{0} - 3;  // 2^64 - 4
+    file.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    file.write(reinterpret_cast<const char*>(&wrapping_len), sizeof(wrapping_len));
+  }
+  EXPECT_THROW(load_checkpoint(path), CheckpointError);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointTest, ArchitectureMismatchRejected) {
   Checkpoint ckpt = trained_checkpoint();
   // Weight set that does not fit the declared architecture.

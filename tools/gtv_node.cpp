@@ -118,7 +118,8 @@ struct Args {
                "  [--batch N] [--d-steps N] [--seed S]\n"
                "  [--host H] [--port P] [--driver-port P]\n"
                "  [--collector-port P] [--collector-host H] [--snapshot-interval-ms N]\n"
-               "  [--metrics-port P] [--offsets-out FILE] [--linger-ms N]  (driver)\n"
+               "  [--metrics-port P] [--linger-ms N]  (driver)\n"
+               "  [--offsets-out FILE]   (driver; for gtv-obs prof|flame|postmortem --offsets)\n"
                "  [--blackbox-dir DIR] [--blackbox-size BYTES] [--blackbox-stall-ms N]\n"
                "  [--recv-timeout-ms N] [--max-attempts N]\n"
                "  [--sample-hz HZ] [--profile-dir DIR]\n"
@@ -387,16 +388,11 @@ obs::bb::StallWatchdogOptions watchdog_options(const Args& args) {
 // right before its main loop and writes <profile-dir>/<role>.folded on the
 // way out. Phase ids in LiveStatus are agg::Phase values, so sample tags
 // reuse the same names the telemetry plane shows.
-const char* sampler_phase_name(std::uint32_t phase) {
-  return obs::agg::to_string(static_cast<obs::agg::Phase>(phase));
-}
-
 obs::sampler::Sampler* start_sampler(const Args& args,
                                      const obs::agg::LiveStatus* status) {
   if (args.sample_hz <= 0) return nullptr;
   obs::sampler::SamplerOptions options;
   options.cpu_hz = args.sample_hz;
-  options.phase_name = sampler_phase_name;
   return obs::sampler::Sampler::start_global(
       options, status != nullptr ? &status->round : nullptr,
       status != nullptr ? &status->phase : nullptr);
@@ -632,7 +628,7 @@ int run_driver(const Args& args, const Shared& shared) {
   obs::sampler::Sampler* prof = start_sampler(args, &status);
 
   // A SIGKILL'd party makes node.run() throw, so the end-of-run offsets
-  // write below never happens — on exactly the runs gtv-postmortem needs
+  // write below never happens — on exactly the runs gtv-obs postmortem needs
   // offsets for. A side thread writes them as soon as every party has
   // clock info, and writes whatever arrived if the run unwinds first.
   std::atomic<bool> offsets_stop{false};
@@ -728,7 +724,7 @@ int main(int argc, char** argv) {
       usage(("unknown role " + args.role).c_str());
     }
     // The ring's last word: a clean exit. A SIGKILL'd party never gets
-    // here, which is precisely how gtv-postmortem tells the dead from the
+    // here, which is precisely how gtv-obs postmortem tells the dead from the
     // survivors.
     obs::bb::note_shutdown(0, "clean");
     return rc;

@@ -164,9 +164,6 @@ int run_daemon(const Args& args) {
   if (args.sample_hz > 0) {
     obs::sampler::SamplerOptions options;
     options.cpu_hz = args.sample_hz;
-    options.phase_name = [](std::uint32_t phase) {
-      return obs::agg::to_string(static_cast<obs::agg::Phase>(phase));
-    };
     prof = obs::sampler::Sampler::start_global(options, &status.round, &status.phase);
   }
 

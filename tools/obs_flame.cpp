@@ -1,11 +1,11 @@
-// gtv-flame: merge, diff, and render the folded profiles written by
+// gtv-obs flame: merge, diff, and render the folded profiles written by
 // `gtv-node --sample-hz` (see obs/sampler.h for the on-disk format).
 //
-//   gtv-flame run/*.folded --out merged.folded      merged folded text
-//   gtv-flame run/*.folded --svg flame.svg          self-contained flamegraph
-//   gtv-flame run/*.folded --json                   machine-readable summary
-//   gtv-flame run/*.folded --base before/*.folded   diff (count deltas)
-//   gtv-flame run/*.folded --offsets offsets.json   annotate party clock skew
+//   gtv-obs flame run/*.folded --out merged.folded      merged folded text
+//   gtv-obs flame run/*.folded --svg flame.svg          self-contained flamegraph
+//   gtv-obs flame run/*.folded --json                   machine-readable summary
+//   gtv-obs flame run/*.folded --base before/*.folded   diff (count deltas)
+//   gtv-obs flame run/*.folded --offsets offsets.json   annotate party clock skew
 //
 // Each input line is `party;state;phase;thread;frame;...;leaf N` with state
 // cpu or offcpu; merging is summation keyed by the full stack, so profiles
@@ -20,7 +20,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -29,29 +28,17 @@
 #include <string>
 #include <vector>
 
+#include "gtv_obs.h"
+#include "obs/json.h"
 #include "obs/sampler.h"
 
+namespace gtv::obs::cli {
 namespace {
 
 struct Options {
-  std::vector<std::string> inputs;
-  std::vector<std::string> base_inputs;
-  std::string out_path;      // merged folded text ("-" = stdout)
-  std::string svg_path;      // flamegraph
-  std::string offsets_path;  // driver-written offsets.json
-  bool json = false;
   std::string state_filter;  // "", "cpu", or "offcpu"
   int top = 10;              // top-self entries in --json
 };
-
-[[noreturn]] void usage(const char* msg) {
-  if (msg != nullptr) std::fprintf(stderr, "gtv-flame: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: gtv-flame FILE.folded [FILE...]\n"
-               "  [--out PATH|-] [--svg PATH] [--json] [--base FILE[,FILE...]]\n"
-               "  [--offsets offsets.json] [--state cpu|offcpu] [--top N]\n");
-  std::exit(2);
-}
 
 // One merged profile: stack -> summed count, plus per-file header metadata.
 struct Profile {
@@ -81,12 +68,9 @@ std::vector<std::string> split_stack(const std::string& text) {
 
 // Loads one folded file into `out`. Unknown `#` headers are skipped so the
 // reader tolerates future format additions; a bad magic line is fatal.
-bool load_folded(const std::string& path, Profile* out) {
+void load_folded(const std::string& path, Profile* out) {
   std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "gtv-flame: cannot open %s\n", path.c_str());
-    return false;
-  }
+  if (!in) throw std::runtime_error("cannot open " + path);
   std::string line;
   bool first = true;
   while (std::getline(in, line)) {
@@ -94,8 +78,7 @@ bool load_folded(const std::string& path, Profile* out) {
     if (first) {
       first = false;
       if (line.rfind("# gtv-folded ", 0) != 0) {
-        std::fprintf(stderr, "gtv-flame: %s: not a gtv folded profile\n", path.c_str());
-        return false;
+        throw std::runtime_error(path + ": not a gtv folded profile");
       }
       continue;
     }
@@ -119,7 +102,6 @@ bool load_folded(const std::string& path, Profile* out) {
     out->stacks[std::move(frames)] += count;
   }
   ++out->files;
-  return true;
 }
 
 // The first four frames are synthetic tags, not code locations.
@@ -130,42 +112,10 @@ bool state_matches(const std::vector<std::string>& frames, const std::string& fi
   return filter.empty() || frames[kStateFrame] == filter;
 }
 
-// --- clock offsets annotation ---------------------------------------------------
-
-// Minimal scanner for the driver's offsets.json:
-// {"schema_version":1,"reference":"driver","offsets":{"p":{"offset_us":N,...}}}
-std::vector<std::pair<std::string, double>> load_offsets(const std::string& path) {
-  std::vector<std::pair<std::string, double>> offsets;
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "gtv-flame: cannot open %s\n", path.c_str());
-    return offsets;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  std::size_t pos = 0;
-  while ((pos = text.find("\"offset_us\":", pos)) != std::string::npos) {
-    // Party name is the nearest quoted key before this object.
-    const std::size_t obj = text.rfind('{', pos);
-    if (obj == std::string::npos || obj < 2) break;
-    const std::size_t name_end = text.rfind('"', obj);
-    const std::size_t name_start =
-        name_end == std::string::npos ? std::string::npos : text.rfind('"', name_end - 1);
-    if (name_start == std::string::npos) break;
-    const std::string party = text.substr(name_start + 1, name_end - name_start - 1);
-    const double us = std::strtod(text.c_str() + pos + std::strlen("\"offset_us\":"), nullptr);
-    if (party != "offsets") offsets.emplace_back(party, us);
-    pos += 12;
-  }
-  return offsets;
-}
-
 // --- folded text output ---------------------------------------------------------
 
 void write_folded_text(std::FILE* f, const Profile& prof, const Profile* base,
-                       const Options& opt,
-                       const std::vector<std::pair<std::string, double>>& offsets) {
+                       const Options& opt, const json::ClockOffsets& offsets) {
   std::fprintf(f, "# gtv-folded %d\n", gtv::obs::sampler::kFoldedFormatVersion);
   std::string parties;
   for (const auto& p : prof.parties) parties += (parties.empty() ? "" : ",") + p;
@@ -176,8 +126,8 @@ void write_folded_text(std::FILE* f, const Profile& prof, const Profile* base,
                static_cast<unsigned long long>(prof.offcpu_samples),
                static_cast<unsigned long long>(prof.dropped));
   if (base != nullptr) std::fprintf(f, "# diff_base_files %zu\n", base->files);
-  for (const auto& [party, us] : offsets) {
-    std::fprintf(f, "# clock_offset_us %s %.3f\n", party.c_str(), us);
+  for (const auto& [party, off] : offsets) {
+    std::fprintf(f, "# clock_offset_us %s %.3f\n", party.c_str(), off.offset_us);
   }
   // Emit current-profile stacks (with deltas when diffing), then base-only
   // stacks that disappeared entirely, as pure negatives.
@@ -321,7 +271,7 @@ int tree_depth(const FlameNode& node) {
   return deepest + 1;
 }
 
-bool write_svg(const std::string& path, const Profile& prof, const Profile* base,
+void write_svg(const std::string& path, const Profile& prof, const Profile* base,
                const Options& opt) {
   FlameNode root;
   root.name = "all";
@@ -339,15 +289,9 @@ bool write_svg(const std::string& path, const Profile& prof, const Profile* base
     tree_frames[0] += ":" + frames[0];  // e.g. cpu:client0
     insert_stack(&root, tree_frames, count, base != nullptr ? delta : 0);
   }
-  if (root.total == 0) {
-    std::fprintf(stderr, "gtv-flame: no samples to render\n");
-    return false;
-  }
+  if (root.total == 0) throw std::runtime_error("no samples to render");
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "gtv-flame: cannot write %s\n", path.c_str());
-    return false;
-  }
+  if (f == nullptr) throw std::runtime_error("cannot write " + path);
   SvgEmitter svg;
   svg.f = f;
   svg.root_total = root.total;
@@ -359,7 +303,7 @@ bool write_svg(const std::string& path, const Profile& prof, const Profile* base
                "viewBox=\"0 0 %.0f %.0f\">\n"
                "<rect width=\"100%%\" height=\"100%%\" fill=\"#fdfdfd\"/>\n"
                "<text x=\"8\" y=\"20\" font-size=\"14\" font-family=\"monospace\">"
-               "gtv-flame%s — %lld samples, %zu file(s)</text>\n"
+               "gtv-obs flame%s — %lld samples, %zu file(s)</text>\n"
                "<text x=\"8\" y=\"34\" font-size=\"10\" font-family=\"monospace\" "
                "fill=\"#555\">warm = on-CPU, cool = off-CPU%s; hover for counts</text>\n",
                svg.width, height, svg.width, height,
@@ -369,23 +313,12 @@ bool write_svg(const std::string& path, const Profile& prof, const Profile* base
   svg.emit(root, 0.0, 0, false);
   std::fprintf(f, "</svg>\n");
   std::fclose(f);
-  return true;
 }
 
 // --- JSON summary ---------------------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') { out += '\\'; out += c; }
-    else if (static_cast<unsigned char>(c) < 0x20) out += ' ';
-    else out += c;
-  }
-  return out;
-}
-
 void write_json(const Profile& prof, const Profile* base, const Options& opt,
-                const std::vector<std::pair<std::string, double>>& offsets) {
+                const json::ClockOffsets& offsets) {
   // Frame resolution and self-time are measured over real code frames only —
   // the party/state/phase/thread prefix is synthetic and always "resolves".
   std::uint64_t frames_total = 0, frames_resolved = 0;
@@ -415,7 +348,7 @@ void write_json(const Profile& prof, const Profile* base, const Options& opt,
   std::printf("{\n  \"files\": %zu,\n  \"parties\": [", prof.files);
   bool first = true;
   for (const auto& party : prof.parties) {
-    std::printf("%s\"%s\"", first ? "" : ", ", json_escape(party).c_str());
+    std::printf("%s\"%s\"", first ? "" : ", ", json::escape(party).c_str());
     first = false;
   }
   const double resolved_frac =
@@ -440,8 +373,9 @@ void write_json(const Profile& prof, const Profile* base, const Options& opt,
   if (!offsets.empty()) {
     std::printf("  \"clock_offsets_us\": {");
     first = true;
-    for (const auto& [party, us] : offsets) {
-      std::printf("%s\"%s\": %.3f", first ? "" : ", ", json_escape(party).c_str(), us);
+    for (const auto& [party, off] : offsets) {
+      std::printf("%s\"%s\": %.3f", first ? "" : ", ", json::escape(party).c_str(),
+                  off.offset_us);
       first = false;
     }
     std::printf("},\n");
@@ -449,86 +383,65 @@ void write_json(const Profile& prof, const Profile* base, const Options& opt,
   std::printf("  \"top_self\": [");
   for (std::size_t i = 0; i < ranked.size(); ++i) {
     std::printf("%s\n    {\"frame\": \"%s\", \"state\": \"%s\", \"self_samples\": %lld}",
-                i == 0 ? "" : ",", json_escape(ranked[i].first.first).c_str(),
+                i == 0 ? "" : ",", json::escape(ranked[i].first.first).c_str(),
                 ranked[i].first.second.c_str(),
                 static_cast<long long>(ranked[i].second));
   }
   std::printf("\n  ]\n}\n");
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&](const char* name) -> std::string {
-      if (i + 1 >= argc) usage((std::string(name) + " needs a value").c_str());
-      return argv[++i];
-    };
-    if (flag == "--out") opt.out_path = value("--out");
-    else if (flag == "--svg") opt.svg_path = value("--svg");
-    else if (flag == "--json") opt.json = true;
-    else if (flag == "--offsets") opt.offsets_path = value("--offsets");
-    else if (flag == "--top") opt.top = std::atoi(value("--top").c_str());
-    else if (flag == "--state") {
-      opt.state_filter = value("--state");
-      if (opt.state_filter != "cpu" && opt.state_filter != "offcpu") {
-        usage("--state must be cpu or offcpu");
-      }
-    } else if (flag == "--base") {
-      std::stringstream list(value("--base"));
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        if (!item.empty()) opt.base_inputs.push_back(item);
-      }
-    } else if (flag == "--help" || flag == "-h") {
-      usage(nullptr);
-    } else if (!flag.empty() && flag[0] == '-') {
-      usage(("unknown option " + flag).c_str());
-    } else {
-      opt.inputs.push_back(flag);
-    }
-  }
-  if (opt.inputs.empty()) usage("no input files");
-  if (opt.top < 1) opt.top = 1;
-  return opt;
+// Loads every file of `paths` into one profile.
+Profile load_all(const std::vector<std::string>& paths) {
+  Profile prof;
+  for (const auto& path : paths) load_folded(path, &prof);
+  return prof;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Options opt = parse_args(argc, argv);
-  Profile prof;
-  for (const auto& path : opt.inputs) {
-    if (!load_folded(path, &prof)) return 1;
+int run_flame(int argc, char** argv) {
+  const Args args = parse_args(argc, argv,
+                               {"--out", "--svg", "--base", "--offsets", "--state", "--top"},
+                               {"--json"}, true);
+  if (args.positional.empty()) usage_error("flame: no input files");
+  Options opt;
+  opt.state_filter = args.get("--state");
+  if (args.has("--state") && opt.state_filter != "cpu" && opt.state_filter != "offcpu") {
+    usage_error("flame: --state must be cpu or offcpu");
   }
-  Profile base;
-  for (const auto& path : opt.base_inputs) {
-    if (!load_folded(path, &base)) return 1;
-  }
-  const Profile* base_ptr = opt.base_inputs.empty() ? nullptr : &base;
-  std::vector<std::pair<std::string, double>> offsets;
-  if (!opt.offsets_path.empty()) offsets = load_offsets(opt.offsets_path);
-
-  int rc = 0;
-  if (!opt.svg_path.empty() && !write_svg(opt.svg_path, prof, base_ptr, opt)) rc = 1;
-  if (!opt.out_path.empty()) {
-    if (opt.out_path == "-") {
-      write_folded_text(stdout, prof, base_ptr, opt, offsets);
-    } else {
-      std::FILE* f = std::fopen(opt.out_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "gtv-flame: cannot write %s\n", opt.out_path.c_str());
-        rc = 1;
-      } else {
-        write_folded_text(f, prof, base_ptr, opt, offsets);
-        std::fclose(f);
-      }
+  opt.top = std::max(1, static_cast<int>(args.num("--top", 10)));
+  std::vector<std::string> base_inputs;
+  for (const std::string& list : args.all("--base")) {
+    std::stringstream items(list);
+    std::string item;
+    while (std::getline(items, item, ',')) {
+      if (!item.empty()) base_inputs.push_back(item);
     }
   }
-  if (opt.json) write_json(prof, base_ptr, opt, offsets);
-  if (opt.out_path.empty() && opt.svg_path.empty() && !opt.json) {
+
+  const Profile prof = load_all(args.positional);
+  const Profile base = load_all(base_inputs);
+  const Profile* base_ptr = base_inputs.empty() ? nullptr : &base;
+  json::ClockOffsets offsets;
+  if (args.has("--offsets")) offsets = json::load_offsets(args.get("--offsets"));
+
+  const std::string out_path = args.get("--out");  // "-" = stdout
+  const std::string svg_path = args.get("--svg");
+  if (!svg_path.empty()) write_svg(svg_path, prof, base_ptr, opt);
+  if (out_path == "-") {
+    write_folded_text(stdout, prof, base_ptr, opt, offsets);
+  } else if (!out_path.empty()) {
+    std::FILE* f = std::fopen(out_path.c_str(), "w");
+    if (f == nullptr) throw std::runtime_error("cannot write " + out_path);
+    write_folded_text(f, prof, base_ptr, opt, offsets);
+    std::fclose(f);
+  }
+  if (args.has("--json")) write_json(prof, base_ptr, opt, offsets);
+  if (out_path.empty() && svg_path.empty() && !args.has("--json")) {
     // Bare invocation: merged folded text to stdout, ready to pipe onward.
     write_folded_text(stdout, prof, base_ptr, opt, offsets);
   }
-  return rc;
+  return 0;
 }
+
+}  // namespace gtv::obs::cli

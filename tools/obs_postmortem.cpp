@@ -1,13 +1,14 @@
-// gtv-postmortem — cross-party crash forensics from black-box ring files.
+// gtv-obs postmortem — cross-party crash forensics from black-box ring files.
 //
-//   gtv-postmortem [options] <ring.bbox> [<ring.bbox> ...]
+//   gtv-obs postmortem [options] <ring.bbox> [<ring.bbox> ...]
 //     --offsets FILE   clock offsets from `gtv-node --offsets-out` (aligns
-//                      parties onto the collector clock; without it the
-//                      wall-clock stamps in the run headers are used)
+//                      parties onto the collector clock when every ring's
+//                      party has one; otherwise the wall-clock stamps in the
+//                      run headers are used)
 //     --window-s K     timeline/context window before death (default 10)
 //     --json           machine-readable summary instead of the report
 //
-//   gtv-postmortem --bench --bench-path FILE [--bench-records N]
+//   gtv-obs postmortem --bench --bench-path FILE [--bench-records N]
 //     appends N records to a fresh ring, reads them back, and prints
 //     records/sec + per-append latency percentiles as JSON (the check.sh
 //     blackbox stage turns this into BENCH_blackbox_smoke.json).
@@ -16,94 +17,30 @@
 // first (a party whose ring ends without a shutdown or crash record never
 // got a word out — SIGKILL, OOM-kill, power), what it was doing (last
 // round/phase it recorded), and what the links saw around the death
-// (retries/timeouts/disconnects in the surviving rings).
+// (retries/timeouts/disconnects in the surviving rings). Exit code 3 means
+// some party died.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "gtv_obs.h"
 #include "obs/blackbox.h"
 #include "obs/json.h"
+#include "obs/snapshot.h"
 
+namespace gtv::obs::cli {
 namespace {
 
-using namespace gtv::obs;
-
-struct Args {
-  std::vector<std::string> rings;
-  std::string offsets_path;
-  double window_s = 10.0;
-  bool json = false;
-  bool bench = false;
-  std::string bench_path;
-  std::size_t bench_records = 200000;
-};
-
-[[noreturn]] void usage(const char* msg) {
-  if (msg != nullptr) std::fprintf(stderr, "gtv-postmortem: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: gtv-postmortem [--offsets FILE] [--window-s K] [--json] "
-               "<ring.bbox>...\n"
-               "       gtv-postmortem --bench --bench-path FILE [--bench-records N]\n");
-  std::exit(2);
-}
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  auto value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("missing option value");
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--offsets") {
-      args.offsets_path = value(i);
-    } else if (flag == "--window-s") {
-      args.window_s = std::atof(value(i));
-    } else if (flag == "--json") {
-      args.json = true;
-    } else if (flag == "--bench") {
-      args.bench = true;
-    } else if (flag == "--bench-path") {
-      args.bench_path = value(i);
-    } else if (flag == "--bench-records") {
-      args.bench_records = std::strtoul(value(i), nullptr, 10);
-    } else if (!flag.empty() && flag[0] == '-') {
-      usage(("unknown option " + flag).c_str());
-    } else {
-      args.rings.push_back(flag);
-    }
-  }
-  if (args.bench) {
-    if (args.bench_path.empty()) usage("--bench requires --bench-path");
-  } else if (args.rings.empty()) {
-    usage("no ring files given");
-  }
-  return args;
-}
-
 const char* phase_name(std::uint32_t phase) {
-  switch (phase) {
-    case 0: return "idle";
-    case 1: return "setup";
-    case 2: return "critic";
-    case 3: return "generator";
-    case 4: return "shuffle";
-    case 5: return "done";
-    case 6: return "serve-wait";   // serving daemon: idle between batches
-    case 7: return "serve-batch";  // serving daemon: coalesced generator run
-    case 8: return "serve-drain";  // serving daemon: graceful shutdown
-  }
-  return "?";
+  return agg::to_string(static_cast<agg::Phase>(phase));
 }
 
 const char* signal_name(std::uint32_t sig) {
@@ -145,19 +82,6 @@ struct PartyView {
     return static_cast<double>(t_us) + align_shift_us;
   }
 };
-
-std::map<std::string, double> load_offsets(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open offsets file " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const json::Value doc = json::parse(buffer.str());
-  std::map<std::string, double> offsets;
-  for (const auto& [party, entry] : doc.at("offsets").object) {
-    offsets[party] = entry.num_or("offset_us", 0);
-  }
-  return offsets;
-}
 
 PartyView load_party(const std::string& path) {
   PartyView view;
@@ -215,18 +139,18 @@ PartyView load_party(const std::string& path) {
 
 // Computes align_shift_us for every party. With offsets: shift = -offset
 // (onto the collector clock, offset_us = party_clock - collector_clock,
-// same convention as gtv-prof --offsets). Without: the run headers carry
+// same convention as gtv-obs prof --offsets). Without: the run headers carry
 // CLOCK_REALTIME at open, so shift = wall_us - t_us(open) puts every party
 // on the shared wall clock (cruder: no RTT bound, NTP steps show up).
 const char* align_parties(std::vector<PartyView>& parties,
-                          const std::map<std::string, double>& offsets) {
+                          const json::ClockOffsets& offsets) {
   bool all_offsets = !offsets.empty();
   for (const PartyView& view : parties) {
     if (offsets.find(view.party) == offsets.end()) all_offsets = false;
   }
   if (all_offsets) {
     for (PartyView& view : parties) {
-      view.align_shift_us = -offsets.at(view.party);
+      view.align_shift_us = -offsets.at(view.party).offset_us;
       view.aligned = true;
     }
     return "offsets";
@@ -346,11 +270,12 @@ std::string party_status(const PartyView& view) {
 }
 
 int run_report(const Args& args) {
-  std::map<std::string, double> offsets;
-  if (!args.offsets_path.empty()) offsets = load_offsets(args.offsets_path);
+  const double window_s = args.num("--window-s", 10.0);
+  json::ClockOffsets offsets;
+  if (args.has("--offsets")) offsets = json::load_offsets(args.get("--offsets"));
 
   std::vector<PartyView> parties;
-  for (const std::string& path : args.rings) parties.push_back(load_party(path));
+  for (const std::string& path : args.positional) parties.push_back(load_party(path));
   const char* aligned_by = align_parties(parties, offsets);
 
   for (PartyView& view : parties) {
@@ -374,9 +299,9 @@ int run_report(const Args& args) {
     if (better) first_dead = &view;
   }
   const double death_us = first_dead != nullptr ? first_dead->last_aligned_us : 0;
-  const double window_us = args.window_s * 1e6;
+  const double window_us = window_s * 1e6;
 
-  if (args.json) {
+  if (args.has("--json")) {
     std::ostringstream os;
     os << "{\"schema_version\":1,\"aligned_by\":\"" << aligned_by << "\",\"parties\":[";
     for (std::size_t i = 0; i < parties.size(); ++i) {
@@ -420,7 +345,7 @@ int run_report(const Args& args) {
   }
 
   // --- human report ---------------------------------------------------------------
-  std::printf("gtv-postmortem: %zu ring(s), aligned by %s\n\n", parties.size(),
+  std::printf("gtv-obs postmortem: %zu ring(s), aligned by %s\n\n", parties.size(),
               aligned_by);
   std::printf("%-10s %8s %8s %8s  %s\n", "party", "records", "rejects", "round",
               "status");
@@ -453,7 +378,7 @@ int run_report(const Args& args) {
   }
 
   // Alerts and transport events in the window before death, anywhere.
-  std::printf("  in the %.1fs before death:\n", args.window_s);
+  std::printf("  in the %.1fs before death:\n", window_s);
   bool context = false;
   for (const PartyView& view : parties) {
     for (const bb::Record& rec : view.ring.records) {
@@ -485,7 +410,7 @@ int run_report(const Args& args) {
   }
   if (!context) std::printf("    (no transport events recorded)\n");
 
-  std::printf("\ntimeline (last %.1fs before death):\n", args.window_s);
+  std::printf("\ntimeline (last %.1fs before death):\n", window_s);
   struct Entry {
     double at;
     const PartyView* view;
@@ -513,16 +438,18 @@ int run_report(const Args& args) {
 // --- bench mode -------------------------------------------------------------------
 
 int run_bench(const Args& args) {
+  const std::string path = args.get("--bench-path");
+  const auto records = static_cast<std::size_t>(args.num("--bench-records", 200000));
   bb::RunHeaderRecord header;
   header.party = "bench";
   bb::BlackBoxOptions options;
-  bb::BlackBox box(args.bench_path, header, options);
+  bb::BlackBox box(path, header, options);
 
   std::vector<double> append_us;
-  append_us.reserve(args.bench_records);
+  append_us.reserve(records);
   const auto start = std::chrono::steady_clock::now();
   std::uint8_t buf[64];
-  for (std::size_t i = 0; i < args.bench_records; ++i) {
+  for (std::size_t i = 0; i < records; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     const bb::PhaseRecord rec{i, static_cast<std::uint32_t>(i % 6)};
     box.append(bb::RecordType::kPhase, buf, rec.encode(buf, sizeof(buf)));
@@ -545,9 +472,9 @@ int run_bench(const Args& args) {
   // The bench intentionally overruns the ring to exercise the wrap path, so
   // the run-header record is legitimately evicted — that one complaint is
   // expected; anything else (CRC rejects, seq gaps, dup seqs) is a failure.
-  const bb::ReadResult ring = bb::read_ring(args.bench_path);
+  const bb::ReadResult ring = bb::read_ring(path);
   std::vector<std::string> problems = bb::validate(ring);
-  const bool wrapped = ring.records.size() < args.bench_records;
+  const bool wrapped = ring.records.size() < records;
   if (wrapped) {
     problems.erase(std::remove_if(problems.begin(), problems.end(),
                                   [](const std::string& p) {
@@ -560,7 +487,7 @@ int run_bench(const Args& args) {
   std::printf("{\"records\":%zu,\"records_per_sec\":%.0f,\"write_p50_us\":%.3f,"
               "\"write_p99_us\":%.3f,\"total_s\":%.6f,\"retained\":%zu,"
               "\"crc_rejects\":%llu,\"valid\":%s}\n",
-              args.bench_records, args.bench_records / total_s, pct(50), pct(99),
+              records, records / total_s, pct(50), pct(99),
               total_s, ring.records.size(),
               static_cast<unsigned long long>(ring.crc_rejects),
               problems.empty() ? "true" : "false");
@@ -569,12 +496,16 @@ int run_bench(const Args& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-  try {
-    return args.bench ? run_bench(args) : run_report(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "gtv-postmortem: %s\n", e.what());
-    return 1;
+int run_postmortem(int argc, char** argv) {
+  const Args args = parse_args(argc, argv,
+                               {"--offsets", "--window-s", "--bench-path", "--bench-records"},
+                               {"--json", "--bench"}, true);
+  if (args.has("--bench")) {
+    if (!args.has("--bench-path")) usage_error("postmortem: --bench requires --bench-path");
+    return run_bench(args);
   }
+  if (args.positional.empty()) usage_error("postmortem: no ring files given");
+  return run_report(args);
 }
+
+}  // namespace gtv::obs::cli

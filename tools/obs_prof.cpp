@@ -1,12 +1,13 @@
-// gtv-prof — merges the observability artefacts a GTV run leaves behind
-// into one human-readable report:
+// gtv-obs prof — merges the observability artefacts a GTV run leaves
+// behind into one human-readable report:
 //
-//   gtv-prof [--profile <stem>.profile.json]     (GTV_PROFILE=1 op table)
-//            [--telemetry <stem>.telemetry.json] (metrics + memory snapshot)
-//            [--trace <trace.jsonl>]...          (GTV_TRACE span/flow stream)
-//            [--merged-out <merged.jsonl>]       (write the merged trace)
-//            [--offsets <offsets.json>]          (clock offsets per party)
-//            [--health <stem>.health.json]       (GTV_HEALTH=1 alert log)
+//   gtv-obs prof [--profile <stem>.profile.json]     (GTV_PROFILE=1 op table)
+//                [--telemetry <stem>.telemetry.json] (metrics + memory snapshot)
+//                [--health <stem>.health.json]       (GTV_HEALTH=1 alert log)
+//                [--rounds <rounds.json>]            (GtvTrainer::telemetry_json)
+//                [--trace <trace.jsonl>]...          (GTV_TRACE span/flow stream)
+//                [--merged-out <merged.jsonl>]       (write the merged trace)
+//                [--offsets <offsets.json>]          (clock offsets per party)
 //
 // --trace may repeat: a multi-process gtv-node run leaves one trace file
 // per OS process, and this tool merges them into a single timeline. Party
@@ -27,15 +28,17 @@
 //
 // Any subset may be given; each present artefact adds a section. When a
 // telemetry snapshot is supplied and a sibling `<stem>.health.json` exists,
-// it is picked up automatically (no --health needed). When both a profile
-// and a telemetry snapshot are supplied the report also computes
-// *coverage*: the fraction of the training rounds' wall clock (the
-// gtv.phase.round_ms histogram) that the profiled op self times account for
-// — the acceptance gauge for the op instrumentation.
+// it is picked up automatically (no --health needed). The health section
+// is the alert summary followed by a per-round alert timeline; --rounds
+// adds per-round losses and gradient norms. When both a profile and a
+// telemetry snapshot are supplied the report also computes *coverage*: the
+// fraction of the training rounds' wall clock (the gtv.phase.round_ms
+// histogram) that the profiled op self times account for — the acceptance
+// gauge for the op instrumentation.
 //
 // Only artefacts whose schema_version this tool knows (profile v1,
-// telemetry v2/v3, health v1) are accepted; unknown versions fail loudly
-// rather than misreport.
+// telemetry v2/v3, health v1, offsets v1) are accepted; unknown versions
+// fail loudly rather than misreport.
 #include <algorithm>
 #include <cctype>
 #include <cmath>
@@ -43,45 +46,17 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "gtv_obs.h"
 #include "obs/json.h"
 
+namespace gtv::obs::cli {
 namespace {
 
-using gtv::obs::json::Value;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-std::string human_bytes(double b) {
-  const char* units[] = {"B", "KiB", "MiB", "GiB"};
-  int u = 0;
-  while (b >= 1024.0 && u < 3) {
-    b /= 1024.0;
-    ++u;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), u == 0 ? "%.0f %s" : "%.1f %s", b, units[u]);
-  return buf;
-}
-
-void require_schema(const Value& doc, double expected, const std::string& what) {
-  const double got = doc.num_or("schema_version", -1);
-  if (got != expected) {
-    throw std::runtime_error(what + ": unsupported schema_version " +
-                             std::to_string(got) + " (expected " +
-                             std::to_string(expected) + ")");
-  }
-}
+using json::Value;
 
 // --- profile ---------------------------------------------------------------
 
@@ -95,8 +70,8 @@ struct OpRow {
 
 // Parses <stem>.profile.json; returns rows sorted by self time descending.
 std::vector<OpRow> load_profile(const std::string& path, double* total_self_us) {
-  const Value doc = gtv::obs::json::parse(read_file(path));
-  require_schema(doc, 1, path);
+  const Value doc = json::parse_file(path);
+  json::require_schema(doc, 1, 1, path);
   std::vector<OpRow> rows;
   for (const auto& [name, op] : doc.at("ops").object) {
     OpRow row;
@@ -160,15 +135,46 @@ void print_telemetry(const Value& doc) {
     }
   }
   std::printf("%-36s %12s\n\n", "TOTAL", human_bytes(traffic).c_str());
+
+  // Training-health context (GTV_HEALTH=1 runs): the |gp| histogram, the
+  // last evaluated round's per-module gradient gauges and the envelope's
+  // health block. The round wall clock is gtv.phase.round_ms above.
+  std::printf("== run context ==\n");
+  if (hists.has("gtv.health.gp")) {
+    const Value& gp = hists.at("gtv.health.gp");
+    std::printf("gradient penalty |gp|: %.0f samples, p50 %.4g p99 %.4g max %.4g\n",
+                gp.num_or("count", 0), gp.num_or("p50", 0), gp.num_or("p99", 0),
+                gp.num_or("max", 0));
+  }
+  bool header = false;
+  for (const auto& [name, g] : doc.at("metrics").at("gauges").object) {
+    if (name.rfind("gtv.health.", 0) != 0) continue;
+    if (name.size() < 10 || name.compare(name.size() - 10, 10, ".grad_norm") != 0) {
+      continue;
+    }
+    if (!header) {
+      std::printf("final gradient norms (gtv.health.<module>.grad_norm):\n");
+      header = true;
+    }
+    std::printf("  %-34s %12.6g\n", name.c_str(), g.number);
+  }
+  if (doc.has("health")) {
+    const Value& h = doc.at("health");
+    const bool enabled = h.has("enabled") && h.at("enabled").boolean;
+    std::printf("envelope health block: enabled=%s total=%.0f fatal=%.0f\n",
+                enabled ? "true" : "false", h.num_or("total", 0), h.num_or("fatal", 0));
+  }
+  std::printf("\n");
 }
 
 // --- health ----------------------------------------------------------------
 
-// Prints the alert summary of a `<stem>.health.json` artefact: one line of
-// severity counts plus the per-rule breakdown.
+// Renders a `<stem>.health.json` artefact: one line of severity counts
+// plus the per-rule breakdown, then the alerts grouped by round in
+// emission order.
 void print_health(const std::string& path) {
-  const Value doc = gtv::obs::json::parse(read_file(path));
-  require_schema(doc, 1, path);
+  const Value doc = json::parse_file(path);
+  json::require_schema(doc, 1, 1, path);
   const Value& summary = doc.at("summary");
   std::printf("== health alerts (%s) ==\n", path.c_str());
   std::printf("alerts: %.0f total — %.0f fatal, %.0f warn, %.0f info\n",
@@ -178,6 +184,48 @@ void print_health(const std::string& path) {
     for (const auto& [rule, count] : summary.at("rules").object) {
       std::printf("  %-34s x%.0f\n", rule.c_str(), count.number);
     }
+  }
+  std::printf("\n");
+
+  const Value& alerts = doc.at("alerts");
+  std::map<std::size_t, std::vector<const Value*>> by_round;
+  for (const auto& a : alerts.array) {
+    by_round[static_cast<std::size_t>(a.num_or("round", 0))].push_back(&a);
+  }
+  std::printf("== per-round timeline (%zu alerts over %zu rounds) ==\n",
+              alerts.array.size(), by_round.size());
+  for (const auto& [round, fired] : by_round) {
+    std::printf("round %zu:\n", round);
+    for (const Value* a : fired) {
+      std::printf("  [%-5s] %-24s value %.6g vs threshold %.6g  %s\n",
+                  a->str_or("severity", "?").c_str(), a->str_or("rule", "?").c_str(),
+                  a->num_or("value", 0), a->num_or("threshold", 0),
+                  a->str_or("detail", "").c_str());
+    }
+  }
+  std::printf("\n");
+}
+
+// Renders the per-round array GtvTrainer::telemetry_json writes: losses,
+// |gp| and the health probe's module/alert counts.
+void print_rounds(const std::string& path) {
+  const Value rounds = json::parse_file(path);
+  if (!rounds.is_array()) throw std::runtime_error(path + ": expected a JSON array of rounds");
+  std::printf("== per-round losses & gradient norms (%zu rounds) ==\n",
+              rounds.array.size());
+  std::printf("%6s %12s %12s %10s %12s %8s %8s\n", "round", "d_loss", "g_loss",
+              "|gp|", "wasserstein", "modules", "alerts");
+  for (const auto& r : rounds.array) {
+    const Value& losses = r.at("losses");
+    std::size_t modules = 0, alerts = 0;
+    if (r.has("health")) {
+      modules = r.at("health").at("modules").array.size();
+      alerts = r.at("health").at("alerts").array.size();
+    }
+    std::printf("%6.0f %12.5g %12.5g %10.4g %12.5g %8zu %8zu\n", r.num_or("round", 0),
+                losses.num_or("d_loss", 0), losses.num_or("g_loss", 0),
+                std::abs(losses.num_or("gp", 0)), losses.num_or("wasserstein", 0),
+                modules, alerts);
   }
   std::printf("\n");
 }
@@ -196,27 +244,6 @@ struct PartyRow {
   std::uint64_t spans = 0;
   double span_us = 0;
 };
-
-// Measured clock offset of one party relative to the collector's clock
-// (offset_us = party_clock - collector_clock, rtt_us = the min RTT of the
-// winning handshake sample — the alignment error bound).
-struct ClockOffset {
-  double offset_us = 0;
-  double rtt_us = 0;
-};
-
-// Parses the offsets file a Collector run writes (--offsets-out): schema v1,
-// {"offsets": {party: {"offset_us": ..., "rtt_us": ...}}}.
-std::map<std::string, ClockOffset> load_offsets(const std::string& path) {
-  const Value doc = gtv::obs::json::parse(read_file(path));
-  require_schema(doc, 1, path);
-  std::map<std::string, ClockOffset> offsets;
-  for (const auto& [party, entry] : doc.at("offsets").object) {
-    offsets[party] = ClockOffset{entry.num_or("offset_us", 0),
-                                 entry.num_or("rtt_us", 0)};
-  }
-  return offsets;
-}
 
 // Rewrites the number after `"pid":` in a raw trace line (string surgery —
 // the merged file must stay byte-faithful to the source except for the pid).
@@ -264,7 +291,7 @@ std::string replace_ts(const std::string& line, long long new_ts) {
 // statistics.
 void print_traces(const std::vector<std::string>& paths,
                   const std::string& merged_out,
-                  const std::map<std::string, ClockOffset>& offsets) {
+                  const json::ClockOffsets& offsets) {
   const bool align = !offsets.empty();
   // Rebase so the most-ahead party's rewritten timestamps stay positive:
   // aligned_ts = ts - offset + shift, shift = max(0, max offset).
@@ -298,7 +325,7 @@ void print_traces(const std::vector<std::string>& paths,
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty()) continue;
-      const Value rec = gtv::obs::json::parse(line);
+      const Value rec = json::parse(line);
       if (rec.str_or("ph", "") == "M" &&
           rec.str_or("name", "") == "process_name" && rec.has("args")) {
         local_names[static_cast<int>(rec.num_or("pid", -1))] =
@@ -337,7 +364,7 @@ void print_traces(const std::vector<std::string>& paths,
     while (std::getline(in, line)) {
       if (line.empty()) continue;
       ++file_records[fi];
-      const Value rec = gtv::obs::json::parse(line);
+      const Value rec = json::parse(line);
       const std::string ph = rec.str_or("ph", "");
       int pid = static_cast<int>(rec.num_or("pid", -1));
       double ts = rec.num_or("ts", 0);
@@ -467,39 +494,20 @@ void print_traces(const std::vector<std::string>& paths,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::vector<std::string> trace_paths;
-  std::string profile_path, telemetry_path, health_path, merged_out, offsets_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--trace" && has_value) {
-      trace_paths.push_back(argv[++i]);
-    } else if (arg == "--merged-out" && has_value) {
-      merged_out = argv[++i];
-    } else if (arg == "--offsets" && has_value) {
-      offsets_path = argv[++i];
-    } else if (arg == "--profile" && has_value) {
-      profile_path = argv[++i];
-    } else if (arg == "--telemetry" && has_value) {
-      telemetry_path = argv[++i];
-    } else if (arg == "--health" && has_value) {
-      health_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: gtv-prof [--profile <stem>.profile.json]"
-                   " [--telemetry <stem>.telemetry.json]"
-                   " [--trace <trace.jsonl>]... [--merged-out <merged.jsonl>]"
-                   " [--offsets <offsets.json>]"
-                   " [--health <stem>.health.json]\n");
-      return 2;
-    }
-  }
+int run_prof(int argc, char** argv) {
+  const Args args = parse_args(
+      argc, argv,
+      {"--profile", "--telemetry", "--health", "--rounds", "--trace", "--merged-out",
+       "--offsets"},
+      {}, false);
+  const std::vector<std::string> trace_paths = args.all("--trace");
+  const std::string profile_path = args.get("--profile");
+  const std::string telemetry_path = args.get("--telemetry");
+  const std::string rounds_path = args.get("--rounds");
+  std::string health_path = args.get("--health");
   if (trace_paths.empty() && profile_path.empty() && telemetry_path.empty() &&
-      health_path.empty()) {
-    std::fprintf(stderr,
-                 "gtv-prof: nothing to do (pass --profile/--telemetry/--trace/--health)\n");
-    return 2;
+      health_path.empty() && rounds_path.empty()) {
+    usage_error("prof: nothing to do (pass --profile/--telemetry/--health/--rounds/--trace)");
   }
   // Auto-pickup: a run that wrote <stem>.telemetry.json under GTV_HEALTH=1
   // left <stem>.health.json next to it.
@@ -512,41 +520,31 @@ int main(int argc, char** argv) {
         ".health.json";
     if (std::ifstream(candidate).good()) health_path = candidate;
   }
+  // Fail on a bad offsets file before any report section prints.
+  json::ClockOffsets offsets;
+  if (args.has("--offsets")) offsets = json::load_offsets(args.get("--offsets"));
 
-  try {
-    double total_self_us = 0;
-    bool have_profile = false;
-    if (!profile_path.empty()) {
-      const std::vector<OpRow> rows = load_profile(profile_path, &total_self_us);
-      print_profile(rows, total_self_us);
-      have_profile = true;
-    }
-    double wall_us = 0;
-    if (!telemetry_path.empty()) {
-      const Value doc = gtv::obs::json::parse(read_file(telemetry_path));
-      const double schema = doc.num_or("schema_version", -1);
-      if (schema != 2 && schema != 3) {
-        throw std::runtime_error(telemetry_path + ": unsupported schema_version " +
-                                 std::to_string(schema) + " (expected 2 or 3)");
-      }
-      print_telemetry(doc);
-      wall_us = round_wall_us(doc);
-    }
-    if (!health_path.empty()) print_health(health_path);
-    if (!trace_paths.empty()) {
-      std::map<std::string, ClockOffset> offsets;
-      if (!offsets_path.empty()) offsets = load_offsets(offsets_path);
-      print_traces(trace_paths, merged_out, offsets);
-    }
-    if (have_profile && wall_us > 0) {
-      std::printf("== coverage ==\n");
-      std::printf("op self time %.3f ms of %.3f ms round wall clock (%.1f%%)\n",
-                  total_self_us / 1000.0, wall_us / 1000.0,
-                  100.0 * total_self_us / wall_us);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "gtv-prof: %s\n", e.what());
-    return 1;
+  double total_self_us = 0;
+  if (!profile_path.empty()) {
+    const std::vector<OpRow> rows = load_profile(profile_path, &total_self_us);
+    print_profile(rows, total_self_us);
+  }
+  double wall_us = 0;
+  if (!telemetry_path.empty()) {
+    const Value doc = json::parse_file(telemetry_path);
+    json::require_schema(doc, 2, 3, telemetry_path);
+    print_telemetry(doc);
+    wall_us = round_wall_us(doc);
+  }
+  if (!health_path.empty()) print_health(health_path);
+  if (!rounds_path.empty()) print_rounds(rounds_path);
+  if (!trace_paths.empty()) print_traces(trace_paths, args.get("--merged-out"), offsets);
+  if (!profile_path.empty() && wall_us > 0) {
+    std::printf("== coverage ==\n");
+    std::printf("op self time %.3f ms of %.3f ms round wall clock (%.1f%%)\n",
+                total_self_us / 1000.0, wall_us / 1000.0, 100.0 * total_self_us / wall_us);
   }
   return 0;
 }
+
+}  // namespace gtv::obs::cli

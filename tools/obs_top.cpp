@@ -1,15 +1,17 @@
-// gtv-top — live terminal view of a federated GTV training run.
+// gtv-obs top — live terminal view of a federated GTV training run.
 //
 // Attaches to a Collector's HTTP endpoint (tools/gtv-node --metrics-port)
 // and refreshes a per-party table: round progress, phase, losses, bytes
 // and retries/timeouts on the training links, health alert counts, clock
 // offset, and a staleness indicator for parties that stopped reporting.
 //
-//   gtv-top --port 9464 [--host 127.0.0.1] [--interval-ms 500]
-//   gtv-top --port 9464 --once          # one frame, no screen clearing
+//   gtv-obs top --port 9464 [--host 127.0.0.1] [--interval-ms 500]
+//   gtv-obs top --port 9464 --once       # one frame, no screen clearing
+//   gtv-obs top --port 9464 --frames N   # stop after N polls
 //
-// Exit codes: 0 on a clean run, 1 when the collector can never be reached
-// (lets smoke tests poll "is the plane up yet" with --once).
+// Every poll counts toward --frames (--once is --frames 1), reached or not.
+// Exit codes: 0 when some poll reached the collector, 1 when none did (lets
+// smoke tests poll "is the plane up yet" with --once).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -26,66 +28,11 @@
 #include <thread>
 #include <vector>
 
+#include "gtv_obs.h"
 #include "obs/json.h"
 
+namespace gtv::obs::cli {
 namespace {
-
-struct Args {
-  std::string host = "127.0.0.1";
-  int port = 0;
-  int interval_ms = 500;
-  int frames = 0;  // 0 = until interrupted
-  bool once = false;
-  bool no_clear = false;
-};
-
-[[noreturn]] void usage(int code) {
-  std::cout << "gtv-top: live view of a GTV federation via its Collector\n"
-               "  --port N          collector HTTP port (required)\n"
-               "  --host H          collector host (default 127.0.0.1)\n"
-               "  --interval-ms N   refresh interval (default 500)\n"
-               "  --frames N        stop after N refreshes (default: run forever)\n"
-               "  --once            render a single frame and exit\n"
-               "  --no-clear        append frames instead of redrawing in place\n";
-  std::exit(code);
-}
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "gtv-top: missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--host") {
-      args.host = next();
-    } else if (arg == "--port") {
-      args.port = std::stoi(next());
-    } else if (arg == "--interval-ms") {
-      args.interval_ms = std::stoi(next());
-    } else if (arg == "--frames") {
-      args.frames = std::stoi(next());
-    } else if (arg == "--once") {
-      args.once = true;
-    } else if (arg == "--no-clear") {
-      args.no_clear = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(0);
-    } else {
-      std::cerr << "gtv-top: unknown argument " << arg << "\n";
-      std::exit(2);
-    }
-  }
-  if (args.port <= 0) {
-    std::cerr << "gtv-top: --port is required\n";
-    std::exit(2);
-  }
-  return args;
-}
 
 // Minimal HTTP/1.0 GET; returns the response body or empty on any failure.
 std::string http_get(const std::string& host, int port, const std::string& path) {
@@ -133,18 +80,6 @@ std::string http_get(const std::string& host, int port, const std::string& path)
   return response.substr(body + 4);
 }
 
-std::string human_bytes(double bytes) {
-  const char* units[] = {"B", "KiB", "MiB", "GiB"};
-  int unit = 0;
-  while (bytes >= 1024.0 && unit < 3) {
-    bytes /= 1024.0;
-    ++unit;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), unit == 0 ? "%.0f%s" : "%.1f%s", bytes, units[unit]);
-  return buf;
-}
-
 // Sparkline over the (round, d_loss, g_loss) history; plots g_loss.
 std::string sparkline(const std::vector<double>& values, std::size_t width) {
   static const char* kBlocks[] = {"▁", "▂", "▃", "▄",
@@ -164,10 +99,10 @@ std::string sparkline(const std::vector<double>& values, std::size_t width) {
   return out;
 }
 
-std::string render(const gtv::obs::json::Value& status) {
+std::string render(const json::Value& status) {
   std::ostringstream out;
   const auto& collector = status.at("collector");
-  out << "gtv-top — parties: " << collector.num_or("parties", 0)
+  out << "gtv-obs top — parties: " << collector.num_or("parties", 0)
       << "  uptime: " << static_cast<long>(collector.num_or("uptime_ms", 0) / 1000.0)
       << "s  snapshot latency p50/p99: " << collector.num_or("snapshot_latency_p50_ms", 0)
       << "/" << collector.num_or("snapshot_latency_p99_ms", 0) << " ms  bad frames: "
@@ -241,37 +176,32 @@ std::string render(const gtv::obs::json::Value& status) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-  int rendered = 0;
+int run_top(int argc, char** argv) {
+  const Args args = parse_args(argc, argv, {"--port", "--host", "--interval-ms", "--frames"},
+                               {"--once", "--no-clear"}, false);
+  const int port = static_cast<int>(args.num("--port", 0));
+  if (port <= 0) usage_error("top: --port is required");
+  const std::string host = args.get("--host", "127.0.0.1");
+  const auto interval =
+      std::chrono::milliseconds(static_cast<int>(args.num("--interval-ms", 500)));
+  const bool once = args.has("--once");
+  const int frames = once ? 1 : static_cast<int>(args.num("--frames", 0));  // 0 = forever
   bool ever_connected = false;
-  const int max_frames = args.once ? 1 : args.frames;
+  int polled = 0;
   for (;;) {
-    const std::string body = http_get(args.host, args.port, "/status");
+    const std::string body = http_get(host, port, "/status");
     if (body.empty()) {
-      if (args.once) {
-        std::cerr << "gtv-top: no collector at " << args.host << ":" << args.port
-                  << "\n";
-        return 1;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(args.interval_ms));
-      continue;
+      std::cerr << "gtv-obs top: no collector at " << host << ":" << port << "\n";
+    } else {
+      const std::string frame = render(json::parse(body));
+      ever_connected = true;
+      if (!args.has("--no-clear") && !once) std::cout << "\x1b[H\x1b[2J";  // home + clear
+      std::cout << frame << std::flush;
     }
-    std::string frame;
-    try {
-      frame = render(gtv::obs::json::parse(body));
-    } catch (const std::exception& e) {
-      std::cerr << "gtv-top: bad /status payload: " << e.what() << "\n";
-      return 1;
-    }
-    ever_connected = true;
-    if (!args.no_clear && !args.once) {
-      std::cout << "\x1b[H\x1b[2J";  // home + clear
-    }
-    std::cout << frame << std::flush;
-    ++rendered;
-    if (max_frames > 0 && rendered >= max_frames) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(args.interval_ms));
+    if (frames > 0 && ++polled >= frames) break;
+    std::this_thread::sleep_for(interval);
   }
   return ever_connected ? 0 : 1;
 }
+
+}  // namespace gtv::obs::cli
