@@ -284,9 +284,7 @@ void TableEncoder::serialize(std::vector<std::uint8_t>& out) const {
   bytes::put_u64(out, total_width_);
 }
 
-TableEncoder TableEncoder::deserialize(const std::uint8_t* data, std::size_t size,
-                                       std::size_t& offset) {
-  bytes::Reader r(data, size, "TableEncoder::deserialize", offset);
+TableEncoder TableEncoder::deserialize(bytes::Reader& r) {
   if (r.u32("magic") != kEncoderMagic) {
     throw std::runtime_error("TableEncoder::deserialize: bad magic");
   }
@@ -378,7 +376,6 @@ TableEncoder TableEncoder::deserialize(const std::uint8_t* data, std::size_t siz
       enc.column_spans_.size() != enc.schema_.n_cols()) {
     throw std::runtime_error("TableEncoder::deserialize: inconsistent column counts");
   }
-  offset = r.offset;
   return enc;
 }
 

@@ -75,12 +75,11 @@ class TableEncoder {
 
   // Appends the full fitted state (schema, codecs, span layout, discrete
   // spans) to `out` as a little-endian byte blob, so a checkpoint can
-  // rebuild the encoder without the training data. The inverse parses from
-  // `reader_data`/`size` starting at `offset` (advanced past the blob) and
-  // throws std::runtime_error on malformed input.
+  // rebuild the encoder without the training data. The inverse parses the
+  // blob at the cursor (stepping past it) and throws std::runtime_error on
+  // malformed input.
   void serialize(std::vector<std::uint8_t>& out) const;
-  static TableEncoder deserialize(const std::uint8_t* data, std::size_t size,
-                                  std::size_t& offset);
+  static TableEncoder deserialize(bytes::Reader& r);
 
  private:
   struct ColumnCodec {

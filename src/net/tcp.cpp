@@ -11,11 +11,12 @@
 #include <cstring>
 #include <thread>
 
-#include "obs/blackbox.h"
 #include <utility>
 
+#include "obs/blackbox.h"
 #include "obs/thread_name.h"
 #include "obs/trace.h"
+#include "tensor/bytes.h"
 
 namespace gtv::net {
 
@@ -35,26 +36,6 @@ constexpr const char* kClockLink = "@clock";
 constexpr std::uint8_t kClockPing = 0;
 constexpr std::uint8_t kClockPong = 1;
 constexpr std::uint8_t kClockReport = 2;
-
-void append_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void append_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t read_u32_le(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64_le(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 
 bool read_full(int fd, std::uint8_t* buf, std::size_t n, int timeout_ms) {
   std::size_t got = 0;
@@ -251,6 +232,15 @@ void TcpTransport::accept_loop() {
     if (fd < 0) continue;
     try {
       const std::string peer = recv_hello(fd, options_.handshake_timeout_ms);
+      // A peer that still has a live connection gets no answer, so its
+      // handshake fails instead of returning a socket add_conn would close:
+      // a stray dial cannot take over a healthy link, and a relaunched peer
+      // whose old connection's EOF the reader has not yet seen redials after
+      // its backoff.
+      if (wait_for_live_peer(peer, 0)) {
+        ::close(fd);
+        continue;
+      }
       send_hello(fd, self_);
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -321,21 +311,21 @@ void TcpTransport::clock_sync_as_dialer(int fd, const std::string& peer) {
   for (int i = 0; i < options_.clock_sync_pings; ++i) {
     std::vector<std::uint8_t> payload;
     payload.push_back(kClockPing);
-    append_u32_le(payload, static_cast<std::uint32_t>(i));
+    bytes::put_u32(payload, static_cast<std::uint32_t>(i));
     const std::uint64_t t0 = obs::TraceSink::now_us();
-    append_u64_le(payload, t0);
+    bytes::put_u64(payload, t0);
     send_clock_frame(fd, std::move(payload));
     const Frame pong = recv_clock_frame(fd, options_.handshake_timeout_ms);
     const std::uint64_t t3 = obs::TraceSink::now_us();
     if (pong.payload.size() != 1 + 4 + 8 * 3 || pong.payload[0] != kClockPong ||
-        read_u32_le(pong.payload.data() + 1) != static_cast<std::uint32_t>(i) ||
-        read_u64_le(pong.payload.data() + 5) != t0) {
+        bytes::get_u32(pong.payload.data() + 1) != static_cast<std::uint32_t>(i) ||
+        bytes::get_u64(pong.payload.data() + 5) != t0) {
       throw TransportError("tcp: malformed clock-sync pong from " + peer);
     }
     ClockSyncSample s;
     s.t0 = static_cast<double>(t0);
-    s.t1 = static_cast<double>(read_u64_le(pong.payload.data() + 13));
-    s.t2 = static_cast<double>(read_u64_le(pong.payload.data() + 21));
+    s.t1 = static_cast<double>(bytes::get_u64(pong.payload.data() + 13));
+    s.t2 = static_cast<double>(bytes::get_u64(pong.payload.data() + 21));
     s.t3 = static_cast<double>(t3);
     samples.push_back(s);
   }
@@ -345,9 +335,9 @@ void TcpTransport::clock_sync_as_dialer(int fd, const std::string& peer) {
   std::vector<std::uint8_t> report;
   report.push_back(kClockReport);
   report.push_back(sync.valid ? 1 : 0);
-  append_u64_le(report, static_cast<std::uint64_t>(
-                            static_cast<std::int64_t>(sync.valid ? sync.offset_us : 0)));
-  append_u64_le(report, static_cast<std::uint64_t>(sync.valid ? sync.rtt_us : 0));
+  bytes::put_u64(report, static_cast<std::uint64_t>(
+                             static_cast<std::int64_t>(sync.valid ? sync.offset_us : 0)));
+  bytes::put_u64(report, static_cast<std::uint64_t>(sync.valid ? sync.rtt_us : 0));
   send_clock_frame(fd, std::move(report));
   store_clock_sync(peer, sync);
 }
@@ -365,10 +355,10 @@ void TcpTransport::clock_sync_as_acceptor(int fd, const std::string& peer) {
       }
       std::vector<std::uint8_t> pong;
       pong.push_back(kClockPong);
-      append_u32_le(pong, read_u32_le(frame.payload.data() + 1));
-      append_u64_le(pong, read_u64_le(frame.payload.data() + 5));  // echo t0
-      append_u64_le(pong, t1);
-      append_u64_le(pong, obs::TraceSink::now_us());  // t2: just before send
+      bytes::put_u32(pong, bytes::get_u32(frame.payload.data() + 1));
+      bytes::put_u64(pong, bytes::get_u64(frame.payload.data() + 5));  // echo t0
+      bytes::put_u64(pong, t1);
+      bytes::put_u64(pong, obs::TraceSink::now_us());  // t2: just before send
       send_clock_frame(fd, std::move(pong));
       continue;
     }
@@ -377,8 +367,8 @@ void TcpTransport::clock_sync_as_acceptor(int fd, const std::string& peer) {
         throw TransportError("tcp: malformed clock-sync report from " + peer);
       }
       const auto offset =
-          static_cast<std::int64_t>(read_u64_le(frame.payload.data() + 2));
-      const std::uint64_t rtt = read_u64_le(frame.payload.data() + 10);
+          static_cast<std::int64_t>(bytes::get_u64(frame.payload.data() + 2));
+      const std::uint64_t rtt = bytes::get_u64(frame.payload.data() + 10);
       ClockSync sync;
       sync.valid = frame.payload[1] != 0;
       sync.offset_us = -static_cast<double>(offset);  // flip to peer - self

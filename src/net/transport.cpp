@@ -1,67 +1,10 @@
 #include "net/transport.h"
 
-#include <array>
 #include <chrono>
-#include <cstring>
+
+#include "tensor/bytes.h"
 
 namespace gtv::net {
-
-namespace {
-
-// --- little-endian primitives ---------------------------------------------------
-
-void put_u16_le(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint16_t get_u16_le(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t get_u32_le(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_u64_le(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
-
-}  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
-  const auto& table = crc_table();
-  std::uint32_t c = 0xffffffffu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
-}
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   if (frame.link.size() > kMaxLinkNameBytes) {
@@ -72,24 +15,15 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   }
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderBytes + frame.link.size() + frame.payload.size());
-  put_u32_le(out, kFrameMagic);
-  put_u16_le(out, kProtocolVersion);
-  put_u16_le(out, static_cast<std::uint16_t>(frame.link.size()));
-  put_u32_le(out, static_cast<std::uint32_t>(frame.payload.size()));
-  put_u64_le(out, frame.seq);
+  bytes::put_u32(out, kFrameMagic);
+  bytes::put_u16(out, kProtocolVersion);
+  bytes::put_u16(out, static_cast<std::uint16_t>(frame.link.size()));
+  bytes::put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
+  bytes::put_u64(out, frame.seq);
   // CRC over link + payload; decode_frame_header validates the header.
-  std::uint32_t crc = 0xffffffffu;
-  {
-    const auto& table = crc_table();
-    for (char ch : frame.link) {
-      crc = table[(crc ^ static_cast<std::uint8_t>(ch)) & 0xffu] ^ (crc >> 8);
-    }
-    for (std::uint8_t b : frame.payload) {
-      crc = table[(crc ^ b) & 0xffu] ^ (crc >> 8);
-    }
-    crc ^= 0xffffffffu;
-  }
-  put_u32_le(out, crc);
+  const auto* link = reinterpret_cast<const std::uint8_t*>(frame.link.data());
+  bytes::put_u32(out, bytes::crc32(frame.payload.data(), frame.payload.size(),
+                                   bytes::crc32(link, frame.link.size())));
   out.insert(out.end(), frame.link.begin(), frame.link.end());
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
   return out;
@@ -97,16 +31,16 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
 
 FrameHeader decode_frame_header(const std::uint8_t* data, std::size_t len) {
   if (len < kFrameHeaderBytes) throw WireError("frame: truncated header");
-  if (get_u32_le(data) != kFrameMagic) throw WireError("frame: bad magic");
-  const std::uint16_t version = get_u16_le(data + 4);
+  if (bytes::get_u32(data) != kFrameMagic) throw WireError("frame: bad magic");
+  const std::uint16_t version = bytes::get_u16(data + 4);
   if (version != kProtocolVersion) {
     throw VersionError("frame: protocol version " + std::to_string(version) +
                        " (expected " + std::to_string(kProtocolVersion) + ")");
   }
   FrameHeader header;
-  header.link_len = get_u16_le(data + 6);
-  header.payload_len = get_u32_le(data + 8);
-  header.seq = get_u64_le(data + 12);
+  header.link_len = bytes::get_u16(data + 6);
+  header.payload_len = bytes::get_u32(data + 8);
+  header.seq = bytes::get_u64(data + 12);
   if (header.link_len > kMaxLinkNameBytes) throw WireError("frame: link name too long");
   if (header.payload_len > kMaxFramePayloadBytes) {
     throw WireError("frame: payload length exceeds cap");
@@ -121,10 +55,10 @@ Frame decode_frame(const std::uint8_t* data, std::size_t len) {
                     std::to_string(header.total_bytes()) + ", buffer has " +
                     std::to_string(len) + ")");
   }
-  const std::uint32_t want_crc = get_u32_le(data + 20);
+  const std::uint32_t want_crc = bytes::get_u32(data + 20);
   const std::uint8_t* body = data + kFrameHeaderBytes;
   const std::size_t body_len = static_cast<std::size_t>(header.link_len) + header.payload_len;
-  if (crc32(body, body_len) != want_crc) {
+  if (bytes::crc32(body, body_len) != want_crc) {
     throw CorruptFrameError("frame: checksum mismatch");
   }
   Frame frame;

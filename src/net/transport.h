@@ -13,7 +13,7 @@
 //        6     2  link_len     length of the link-name bytes
 //        8     4  payload_len  length of the payload bytes
 //       12     8  seq          per-link logical message number
-//       20     4  crc32        CRC-32 (IEEE) over link bytes + payload bytes
+//       20     4  crc32        CRC-32 (IEEE, bytes::crc32) over link + payload
 //       24     .  link bytes, then payload bytes
 //
 // Every send() numbers its frame with the link's next seq, and recv()
@@ -92,9 +92,6 @@ struct Frame {
   std::uint64_t seq = 0;
   std::vector<std::uint8_t> payload;
 };
-
-// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 // Parses and validates one complete frame. Throws WireError on malformed

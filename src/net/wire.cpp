@@ -4,46 +4,15 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 
 #include "obs/blackbox.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/bytes.h"
 
 namespace gtv::net {
 
 namespace {
-
-// --- little-endian primitives ----------------------------------------------------
-// The wire layouts are pinned little-endian so files/streams produced on one
-// host parse identically on another (and on big-endian hosts, should one
-// ever appear).
-
-void append_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint64_t read_u64_le(const std::vector<std::uint8_t>& bytes, std::size_t& offset) {
-  if (offset + 8 > bytes.size()) throw WireError("wire: truncated payload");
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | bytes[offset + i];
-  offset += 8;
-  return v;
-}
-
-void append_f32_le(std::vector<std::uint8_t>& out, float f) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &f, 4);
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-}
-
-float read_f32_le(const std::uint8_t* p) {
-  std::uint32_t bits = 0;
-  for (int i = 3; i >= 0; --i) bits = (bits << 8) | p[i];
-  float f;
-  std::memcpy(&f, &bits, 4);
-  return f;
-}
 
 // Trace pid for a link endpoint name: "server" = 0, "clientK" = K + 1.
 // Unrecognised endpoints land on the driver row.
@@ -61,15 +30,6 @@ int endpoint_pid(const std::string& endpoint) {
   return obs::kDriverPid;
 }
 
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point start) {
@@ -83,59 +43,38 @@ double ms_since(Clock::time_point start) {
 std::vector<std::uint8_t> serialize_tensor(const Tensor& t) {
   std::vector<std::uint8_t> out;
   out.reserve(16 + t.size() * sizeof(float));
-  append_u64_le(out, t.rows());
-  append_u64_le(out, t.cols());
-  const float* p = t.data();
-  for (std::size_t i = 0; i < t.size(); ++i) append_f32_le(out, p[i]);
+  put_tensor(out, t);
   return out;
 }
 
-Tensor deserialize_tensor(const std::vector<std::uint8_t>& bytes) {
-  std::size_t offset = 0;
-  const std::uint64_t rows64 = read_u64_le(bytes, offset);
-  const std::uint64_t cols64 = read_u64_le(bytes, offset);
-  // Element count must fit size_t and the byte count must match exactly —
-  // an attacker-sized header cannot force a huge allocation or hide
-  // trailing garbage.
-  constexpr std::uint64_t kMaxElems =
-      std::numeric_limits<std::size_t>::max() / sizeof(float);
-  if (cols64 != 0 && rows64 > kMaxElems / cols64) {
-    throw WireError("wire: tensor dimensions overflow");
-  }
-  const std::uint64_t elems = rows64 * cols64;
-  if (bytes.size() != offset + elems * sizeof(float)) {
-    throw WireError("wire: tensor payload size mismatch");
-  }
-  const auto rows = static_cast<std::size_t>(rows64);
-  const auto cols = static_cast<std::size_t>(cols64);
-  FloatVec values(static_cast<std::size_t>(elems));
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = read_f32_le(bytes.data() + offset + i * 4);
-  }
-  return Tensor(rows, cols, std::move(values));
+Tensor deserialize_tensor(const std::vector<std::uint8_t>& payload) {
+  return bytes::guard<WireError>([&] {
+    bytes::Reader r(payload.data(), payload.size(), "wire: tensor");
+    Tensor t = read_tensor(r);
+    r.expect_end();
+    return t;
+  });
 }
 
 std::vector<std::uint8_t> serialize_indices(const std::vector<std::size_t>& idx) {
   std::vector<std::uint8_t> out;
   out.reserve(8 + idx.size() * 8);
-  append_u64_le(out, idx.size());
-  for (std::size_t v : idx) append_u64_le(out, static_cast<std::uint64_t>(v));
+  bytes::put_u64(out, idx.size());
+  for (std::size_t v : idx) bytes::put_u64(out, static_cast<std::uint64_t>(v));
   return out;
 }
 
-std::vector<std::size_t> deserialize_indices(const std::vector<std::uint8_t>& bytes) {
-  std::size_t offset = 0;
-  const std::uint64_t n = read_u64_le(bytes, offset);
-  if (n > (std::numeric_limits<std::size_t>::max() - offset) / 8 ||
-      bytes.size() != offset + n * 8) {
-    throw WireError("wire: indices payload size mismatch");
-  }
-  std::vector<std::size_t> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(static_cast<std::size_t>(read_u64_le(bytes, offset)));
-  }
-  return out;
+std::vector<std::size_t> deserialize_indices(const std::vector<std::uint8_t>& payload) {
+  return bytes::guard<WireError>([&] {
+    bytes::Reader r(payload.data(), payload.size(), "wire: indices");
+    const std::uint64_t n = r.u64("index count");
+    if (n > r.remaining() / 8) r.fail("index count exceeds the input");
+    const std::uint8_t* p = r.raw(static_cast<std::size_t>(n) * 8, "indices");
+    r.expect_end();
+    std::vector<std::size_t> out(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = bytes::get_u64(p + 8 * i);
+    return out;
+  });
 }
 
 // --- TrafficMeter ----------------------------------------------------------------
@@ -211,7 +150,7 @@ const TrafficMeter::FlowInfo& TrafficMeter::next_flow(const std::string& link, b
     // Deterministic flow-id namespace for this link. Kept under 2^52 (32
     // hash bits + 20 ordinal bits) so ids survive JSON number (double)
     // round-trips.
-    info.flow_base = (fnv1a64(link) & 0xFFFFFFFFULL) << 20;
+    info.flow_base = (bytes::fnv1a64(link.data(), link.size()) & 0xFFFFFFFFULL) << 20;
     info.send_label = "send " + link;
     info.recv_label = "recv " + link;
     it = flows_.emplace(link, std::move(info)).first;

@@ -40,7 +40,8 @@ namespace gtv::net {
 
 // --- serialization ---------------------------------------------------------------
 // Byte layouts (all integers and float bits little-endian):
-//   tensor : u64 rows | u64 cols | rows*cols f32 (row-major)
+//   tensor : u64 rows | u64 cols | rows*cols f32 (row-major; put_tensor /
+//            read_tensor in tensor/tensor.h, shared with the checkpoints)
 //   indices: u64 n    | n x u64
 // Deserializers validate sizes exactly — truncated or trailing bytes, or a
 // rows*cols product that overflows, raise WireError (a std::runtime_error).

@@ -2,11 +2,10 @@
 // (trainable parameters plus non-trainable buffers such as batchnorm
 // running statistics) in declaration order.
 //
-// On-disk format (version 2) mirrors the wire-frame discipline used by
-// gtv::net: explicit little-endian encoding, a magic + version header, a
-// trailing CRC32 over the payload, and exact-size checks so truncated or
-// padded files are rejected. load_parameters still accepts the legacy v1
-// format ("GTVP": bare parameters, native endianness, no checksum).
+// On-disk format ("GTVQ" version 2) mirrors the wire-frame discipline used
+// by gtv::net: explicit little-endian encoding through gtv::bytes, a magic +
+// version header, a trailing CRC32 over the payload, and exact-size checks
+// so truncated or padded files are rejected.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "nn/module.h"
+#include "tensor/bytes.h"
 
 namespace gtv::nn {
 
@@ -23,7 +23,7 @@ void save_parameters(Module& module, const std::string& path);
 
 // Restores state saved by save_parameters. The module must have the same
 // architecture: tensor counts and every shape must match, otherwise throws
-// std::runtime_error without modifying the module. Reads v2 and legacy v1.
+// std::runtime_error without modifying the module.
 void load_parameters(Module& module, const std::string& path);
 
 // Copies the module's full state (parameters then buffers, declaration
@@ -35,17 +35,11 @@ std::vector<Tensor> snapshot_state(Module& module);
 // throws std::runtime_error and leaves the module untouched.
 void restore_state(Module& module, const std::vector<Tensor>& tensors);
 
-// Low-level tensor-block codec shared with gtv::serve's checkpoint
-// container: u64 count, then per tensor u64 rows / u64 cols / f32 payload,
-// all little-endian.
+// Tensor-block codec shared with gtv::serve's checkpoint containers: u64
+// count, then each tensor in the layout of put_tensor (tensor/tensor.h).
 void append_tensor_block(std::vector<std::uint8_t>& out, const std::vector<Tensor>& tensors);
-// Parses a tensor block starting at `offset` (advanced past the block).
-// Throws std::runtime_error on truncation or implausible shapes.
-std::vector<Tensor> parse_tensor_block(const std::uint8_t* data, std::size_t size,
-                                       std::size_t& offset);
-
-// CRC32 (IEEE 802.3, same polynomial as the gtv::net frame checksum) used
-// by the serialize/checkpoint envelopes.
-std::uint32_t state_crc32(const std::uint8_t* data, std::size_t size);
+// Reads a tensor block at the cursor. Throws std::runtime_error on
+// truncation or a count or shape the bytes left cannot hold.
+std::vector<Tensor> read_tensor_block(bytes::Reader& r);
 
 }  // namespace gtv::nn

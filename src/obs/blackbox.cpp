@@ -23,6 +23,7 @@
 
 #include "obs/thread_name.h"
 #include "obs/trace.h"
+#include "tensor/bytes.h"
 
 #if defined(__GLIBC__) && __has_include(<execinfo.h>)
 #include <execinfo.h>
@@ -33,98 +34,24 @@ namespace gtv::obs::bb {
 
 namespace {
 
-// --- little-endian primitives (no allocation; signal-safe) ------------------------
-
-inline void put_u16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-
-inline void put_u32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-inline void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-inline std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-inline std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-inline std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-inline void put_f32(std::uint8_t* p, float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, 4);
-  put_u32(p, bits);
-}
-
-inline float get_f32(const std::uint8_t* p) {
-  const std::uint32_t bits = get_u32(p);
-  float v;
-  std::memcpy(&v, &bits, 4);
-  return v;
-}
-
-// CRC-32 (IEEE, reflected). Own copy: gtv_net links gtv_obs, so the obs
-// layer cannot reach net::crc32 without a dependency cycle. The table is
-// built eagerly at namespace scope — signal handlers must never hit a
-// lazy-init path.
-struct CrcTable {
-  std::uint32_t t[256];
-  CrcTable() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-  }
-};
-const CrcTable g_crc;
-
-inline std::uint32_t crc_feed(std::uint32_t c, const std::uint8_t* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) c = g_crc.t[(c ^ p[i]) & 0xffu] ^ (c >> 8);
-  return c;
-}
-
 // CRC over a fully-assembled frame: bytes [4,12) + [16,32) + payload (the
 // CRC field itself at [12,16) is excluded).
 std::uint32_t frame_crc(const std::uint8_t* frame, std::size_t payload_len) {
-  std::uint32_t c = 0xffffffffu;
-  c = crc_feed(c, frame + 4, 8);
-  c = crc_feed(c, frame + 16, 16);
-  c = crc_feed(c, frame + kRecordHeaderBytes, payload_len);
-  return c ^ 0xffffffffu;
+  std::uint32_t c = bytes::crc32(frame + 4, 8);
+  c = bytes::crc32(frame + 16, 16, c);
+  return bytes::crc32(frame + kRecordHeaderBytes, payload_len, c);
 }
 
 // string field: u16 length + raw bytes. Returns bytes consumed, 0 = no fit.
 std::size_t put_str(std::uint8_t* buf, std::size_t cap, const char* s, std::size_t len) {
   if (len > 0xffff || 2 + len > cap) return 0;
-  put_u16(buf, static_cast<std::uint16_t>(len));
+  bytes::store_u16(buf, static_cast<std::uint16_t>(len));
   std::memcpy(buf + 2, s, len);
   return 2 + len;
 }
 
-std::string get_str(const std::uint8_t* p, std::size_t len, std::size_t& off) {
-  if (off + 2 > len) throw std::runtime_error("blackbox: truncated string field");
-  const std::uint16_t n = get_u16(p + off);
-  off += 2;
-  if (off + n > len) throw std::runtime_error("blackbox: string field overruns payload");
-  std::string s(reinterpret_cast<const char*>(p + off), n);
-  off += n;
-  return s;
-}
+// The u16-length string field put_str writes.
+std::string read_str(bytes::Reader& r) { return r.chars(r.u16("string length"), "string"); }
 
 // PC-list payloads (crash / thread stack) share one raw encoder so the
 // signal handlers can build them without constructing the structs (whose
@@ -138,11 +65,11 @@ std::size_t encode_crash_raw(std::uint8_t* buf, std::size_t cap, std::uint32_t s
     need -= 8;
   }
   if (need > cap) return 0;
-  put_u32(buf, sig);
-  put_u32(buf + 4, static_cast<std::uint32_t>(n));
-  put_u64(buf + 8, addr);
+  bytes::store_u32(buf, sig);
+  bytes::store_u32(buf + 4, static_cast<std::uint32_t>(n));
+  bytes::store_u64(buf + 8, addr);
   for (int i = 0; i < n; ++i) {
-    put_u64(buf + 16 + 8 * static_cast<std::size_t>(i),
+    bytes::store_u64(buf + 16 + 8 * static_cast<std::size_t>(i),
             reinterpret_cast<std::uint64_t>(frames[i]));
   }
   return need;
@@ -157,24 +84,20 @@ std::size_t encode_stack_raw(std::uint8_t* buf, std::size_t cap, std::uint64_t t
     need -= 8;
   }
   if (need > cap) return 0;
-  put_u64(buf, tid);
-  put_u32(buf + 8, static_cast<std::uint32_t>(n));
-  put_u32(buf + 12, 0);
+  bytes::store_u64(buf, tid);
+  bytes::store_u32(buf + 8, static_cast<std::uint32_t>(n));
+  bytes::store_u32(buf + 12, 0);
   for (int i = 0; i < n; ++i) {
-    put_u64(buf + 16 + 8 * static_cast<std::size_t>(i),
+    bytes::store_u64(buf + 16 + 8 * static_cast<std::size_t>(i),
             reinterpret_cast<std::uint64_t>(frames[i]));
   }
   return need;
 }
 
-std::vector<std::uint64_t> decode_pcs(const std::uint8_t* p, std::size_t len,
-                                      std::size_t off, std::uint32_t n) {
-  if (off + static_cast<std::size_t>(n) * 8 > len) {
-    throw std::runtime_error("blackbox: pc list overruns payload");
-  }
-  std::vector<std::uint64_t> pcs;
-  pcs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) pcs.push_back(get_u64(p + off + 8 * i));
+std::vector<std::uint64_t> read_pcs(bytes::Reader& r, std::uint32_t n) {
+  const std::uint8_t* p = r.raw(std::size_t{n} * 8, "pc list");
+  std::vector<std::uint64_t> pcs(n);
+  for (std::uint32_t i = 0; i < n; ++i) pcs[i] = bytes::get_u64(p + 8 * i);
   return pcs;
 }
 
@@ -291,101 +214,98 @@ const char* to_string(NetEvent kind) {
 
 std::size_t RunHeaderRecord::encode(std::uint8_t* buf, std::size_t cap) const {
   if (cap < 40) return 0;
-  put_u64(buf, n_clients);
-  put_u64(buf + 8, rounds);
-  put_u64(buf + 16, seed);
-  put_u64(buf + 24, wall_us);
-  put_u64(buf + 32, pid);
+  bytes::store_u64(buf, n_clients);
+  bytes::store_u64(buf + 8, rounds);
+  bytes::store_u64(buf + 16, seed);
+  bytes::store_u64(buf + 24, wall_us);
+  bytes::store_u64(buf + 32, pid);
   const std::size_t s = put_str(buf + 40, cap - 40, party.data(), party.size());
   return s == 0 ? 0 : 40 + s;
 }
 
 RunHeaderRecord RunHeaderRecord::decode(const std::uint8_t* p, std::size_t len) {
-  if (len < 42) throw std::runtime_error("blackbox: run header too short");
+  bytes::Reader in(p, len, "blackbox run header");
   RunHeaderRecord r;
-  r.n_clients = get_u64(p);
-  r.rounds = get_u64(p + 8);
-  r.seed = get_u64(p + 16);
-  r.wall_us = get_u64(p + 24);
-  r.pid = get_u64(p + 32);
-  std::size_t off = 40;
-  r.party = get_str(p, len, off);
+  r.n_clients = in.u64("n_clients");
+  r.rounds = in.u64("rounds");
+  r.seed = in.u64("seed");
+  r.wall_us = in.u64("wall_us");
+  r.pid = in.u64("pid");
+  r.party = read_str(in);
   return r;
 }
 
 std::size_t PhaseRecord::encode(std::uint8_t* buf, std::size_t cap) const {
   if (cap < 12) return 0;
-  put_u64(buf, round);
-  put_u32(buf + 8, phase);
+  bytes::store_u64(buf, round);
+  bytes::store_u32(buf + 8, phase);
   return 12;
 }
 
 PhaseRecord PhaseRecord::decode(const std::uint8_t* p, std::size_t len) {
-  if (len < 12) throw std::runtime_error("blackbox: phase record too short");
-  return PhaseRecord{get_u64(p), get_u32(p + 8)};
+  bytes::Reader in(p, len, "blackbox phase record");
+  return PhaseRecord{in.u64("round"), in.u32("phase")};
 }
 
 std::size_t LossRecord::encode(std::uint8_t* buf, std::size_t cap) const {
   if (cap < 24) return 0;
-  put_u64(buf, round);
-  put_f32(buf + 8, d_loss);
-  put_f32(buf + 12, g_loss);
-  put_f32(buf + 16, gp);
-  put_f32(buf + 20, wasserstein);
+  bytes::store_u64(buf, round);
+  bytes::store_f32(buf + 8, d_loss);
+  bytes::store_f32(buf + 12, g_loss);
+  bytes::store_f32(buf + 16, gp);
+  bytes::store_f32(buf + 20, wasserstein);
   return 24;
 }
 
 LossRecord LossRecord::decode(const std::uint8_t* p, std::size_t len) {
-  if (len < 24) throw std::runtime_error("blackbox: loss record too short");
-  return LossRecord{get_u64(p), get_f32(p + 8), get_f32(p + 12), get_f32(p + 16),
-                    get_f32(p + 20)};
+  bytes::Reader in(p, len, "blackbox loss record");
+  return LossRecord{in.u64("round"), in.f32("d_loss"), in.f32("g_loss"), in.f32("gp"),
+                    in.f32("wasserstein")};
 }
 
 std::size_t AlertRecord::encode(std::uint8_t* buf, std::size_t cap) const {
   if (cap < 12) return 0;
-  put_u32(buf, severity);
-  put_u64(buf + 4, round);
+  bytes::store_u32(buf, severity);
+  bytes::store_u64(buf + 4, round);
   const std::size_t s = put_str(buf + 12, cap - 12, rule.data(), rule.size());
   return s == 0 ? 0 : 12 + s;
 }
 
 AlertRecord AlertRecord::decode(const std::uint8_t* p, std::size_t len) {
-  if (len < 14) throw std::runtime_error("blackbox: alert record too short");
+  bytes::Reader in(p, len, "blackbox alert record");
   AlertRecord r;
-  r.severity = get_u32(p);
-  r.round = get_u64(p + 4);
-  std::size_t off = 12;
-  r.rule = get_str(p, len, off);
+  r.severity = in.u32("severity");
+  r.round = in.u64("round");
+  r.rule = read_str(in);
   return r;
 }
 
 std::size_t NetEventRecord::encode(std::uint8_t* buf, std::size_t cap) const {
   if (cap < 4) return 0;
-  put_u32(buf, static_cast<std::uint32_t>(kind));
+  bytes::store_u32(buf, static_cast<std::uint32_t>(kind));
   const std::size_t s = put_str(buf + 4, cap - 4, link.data(), link.size());
   return s == 0 ? 0 : 4 + s;
 }
 
 NetEventRecord NetEventRecord::decode(const std::uint8_t* p, std::size_t len) {
-  if (len < 6) throw std::runtime_error("blackbox: net event record too short");
+  bytes::Reader in(p, len, "blackbox net event record");
   NetEventRecord r;
-  r.kind = static_cast<NetEvent>(get_u32(p));
-  std::size_t off = 4;
-  r.link = get_str(p, len, off);
+  r.kind = static_cast<NetEvent>(in.u32("kind"));
+  r.link = read_str(in);
   return r;
 }
 
 std::size_t StallRecord::encode(std::uint8_t* buf, std::size_t cap) const {
   if (cap < 20) return 0;
-  put_u64(buf, stalled_ms);
-  put_u64(buf + 8, round);
-  put_u32(buf + 16, phase);
+  bytes::store_u64(buf, stalled_ms);
+  bytes::store_u64(buf + 8, round);
+  bytes::store_u32(buf + 16, phase);
   return 20;
 }
 
 StallRecord StallRecord::decode(const std::uint8_t* p, std::size_t len) {
-  if (len < 20) throw std::runtime_error("blackbox: stall record too short");
-  return StallRecord{get_u64(p), get_u64(p + 8), get_u32(p + 16)};
+  bytes::Reader in(p, len, "blackbox stall record");
+  return StallRecord{in.u64("stalled_ms"), in.u64("round"), in.u32("phase")};
 }
 
 std::size_t ThreadStackRecord::encode(std::uint8_t* buf, std::size_t cap) const {
@@ -397,10 +317,12 @@ std::size_t ThreadStackRecord::encode(std::uint8_t* buf, std::size_t cap) const 
 }
 
 ThreadStackRecord ThreadStackRecord::decode(const std::uint8_t* p, std::size_t len) {
-  if (len < 16) throw std::runtime_error("blackbox: thread stack record too short");
+  bytes::Reader in(p, len, "blackbox thread stack record");
   ThreadStackRecord r;
-  r.tid = get_u64(p);
-  r.pcs = decode_pcs(p, len, 16, get_u32(p + 8));
+  r.tid = in.u64("tid");
+  const std::uint32_t n = in.u32("pc count");
+  in.u32("padding");
+  r.pcs = read_pcs(in, n);
   return r;
 }
 
@@ -414,27 +336,27 @@ std::size_t CrashRecord::encode(std::uint8_t* buf, std::size_t cap) const {
 }
 
 CrashRecord CrashRecord::decode(const std::uint8_t* p, std::size_t len) {
-  if (len < 16) throw std::runtime_error("blackbox: crash record too short");
+  bytes::Reader in(p, len, "blackbox crash record");
   CrashRecord r;
-  r.signal = get_u32(p);
-  r.fault_addr = get_u64(p + 8);
-  r.pcs = decode_pcs(p, len, 16, get_u32(p + 4));
+  r.signal = in.u32("signal");
+  const std::uint32_t n = in.u32("pc count");
+  r.fault_addr = in.u64("fault address");
+  r.pcs = read_pcs(in, n);
   return r;
 }
 
 std::size_t ShutdownRecord::encode(std::uint8_t* buf, std::size_t cap) const {
   if (cap < 4) return 0;
-  put_u32(buf, code);
+  bytes::store_u32(buf, code);
   const std::size_t s = put_str(buf + 4, cap - 4, reason.data(), reason.size());
   return s == 0 ? 0 : 4 + s;
 }
 
 ShutdownRecord ShutdownRecord::decode(const std::uint8_t* p, std::size_t len) {
-  if (len < 6) throw std::runtime_error("blackbox: shutdown record too short");
+  bytes::Reader in(p, len, "blackbox shutdown record");
   ShutdownRecord r;
-  r.code = get_u32(p);
-  std::size_t off = 4;
-  r.reason = get_str(p, len, off);
+  r.code = in.u32("code");
+  r.reason = read_str(in);
   return r;
 }
 
@@ -462,10 +384,10 @@ BlackBox::BlackBox(const std::string& path, const RunHeaderRecord& header,
   map_ = static_cast<std::uint8_t*>(m);
   ring_ = map_ + kRingHeaderBytes;
 
-  put_u64(map_, kFileMagic);
-  put_u32(map_ + 8, kRingFormatVersion);
-  put_u32(map_ + 12, static_cast<std::uint32_t>(kRingHeaderBytes));
-  put_u64(map_ + 16, capacity_);
+  bytes::store_u64(map_, kFileMagic);
+  bytes::store_u32(map_ + 8, kRingFormatVersion);
+  bytes::store_u32(map_ + 12, static_cast<std::uint32_t>(kRingHeaderBytes));
+  bytes::store_u64(map_ + 16, capacity_);
   cursor_ = reinterpret_cast<std::atomic<std::uint64_t>*>(map_ + 24);
   written_ = reinterpret_cast<std::atomic<std::uint64_t>*>(map_ + 32);
   dropped_ = reinterpret_cast<std::atomic<std::uint64_t>*>(map_ + 40);
@@ -519,14 +441,14 @@ void BlackBox::append(RecordType type, const std::uint8_t* payload, std::size_t 
   std::uint8_t* frame = reserve(kRecordHeaderBytes + padded);
   const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
 
-  put_u16(frame + 4, static_cast<std::uint16_t>(type));
-  put_u16(frame + 6, 0);
-  put_u32(frame + 8, static_cast<std::uint32_t>(len));
-  put_u64(frame + 16, seq);
-  put_u64(frame + 24, TraceSink::now_us());
+  bytes::store_u16(frame + 4, static_cast<std::uint16_t>(type));
+  bytes::store_u16(frame + 6, 0);
+  bytes::store_u32(frame + 8, static_cast<std::uint32_t>(len));
+  bytes::store_u64(frame + 16, seq);
+  bytes::store_u64(frame + 24, TraceSink::now_us());
   if (len > 0) std::memcpy(frame + kRecordHeaderBytes, payload, len);
   if (padded > len) std::memset(frame + kRecordHeaderBytes + len, 0, padded - len);
-  put_u32(frame + 12, frame_crc(frame, len));
+  bytes::store_u32(frame + 12, frame_crc(frame, len));
   // Publish last: until the magic lands, scanners see an invalid frame.
   // The release store orders every write above before it.
   reinterpret_cast<std::atomic<std::uint32_t>*>(frame)->store(
@@ -579,8 +501,8 @@ void note_alert(std::uint32_t severity, std::uint64_t round, const char* rule) {
   BlackBox* box = g_box.load(std::memory_order_acquire);
   if (box == nullptr || rule == nullptr) return;
   std::uint8_t buf[256];
-  put_u32(buf, severity);
-  put_u64(buf + 4, round);
+  bytes::store_u32(buf, severity);
+  bytes::store_u64(buf + 4, round);
   const std::size_t s = put_str(buf + 12, sizeof(buf) - 12, rule,
                                 std::strlen(rule) > 200 ? 200 : std::strlen(rule));
   if (s == 0) return;
@@ -591,7 +513,7 @@ void note_net_event(NetEvent kind, const char* link) {
   BlackBox* box = g_box.load(std::memory_order_acquire);
   if (box == nullptr || link == nullptr) return;
   std::uint8_t buf[256];
-  put_u32(buf, static_cast<std::uint32_t>(kind));
+  bytes::store_u32(buf, static_cast<std::uint32_t>(kind));
   const std::size_t s = put_str(buf + 4, sizeof(buf) - 4, link,
                                 std::strlen(link) > 200 ? 200 : std::strlen(link));
   if (s == 0) return;
@@ -602,7 +524,7 @@ void note_shutdown(std::uint32_t code, const char* reason) {
   BlackBox* box = g_box.load(std::memory_order_acquire);
   if (box == nullptr) return;
   std::uint8_t buf[256];
-  put_u32(buf, code);
+  bytes::store_u32(buf, code);
   const char* text = reason == nullptr ? "" : reason;
   const std::size_t s = put_str(buf + 4, sizeof(buf) - 4, text,
                                 std::strlen(text) > 200 ? 200 : std::strlen(text));
@@ -746,41 +668,41 @@ void StallWatchdog::run() {
 ReadResult read_ring(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("blackbox: cannot open " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  if (bytes.size() < kRingHeaderBytes) {
+  std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+  if (file.size() < kRingHeaderBytes) {
     throw std::runtime_error("blackbox: " + path + " is too small to be a ring file");
   }
-  if (get_u64(bytes.data()) != kFileMagic) {
+  if (bytes::get_u64(file.data()) != kFileMagic) {
     throw std::runtime_error("blackbox: " + path + " has no GTVBBOX1 magic");
   }
-  const std::uint32_t version = get_u32(bytes.data() + 8);
+  const std::uint32_t version = bytes::get_u32(file.data() + 8);
   if (version != kRingFormatVersion) {
     throw std::runtime_error("blackbox: " + path + " format version " +
                              std::to_string(version) + " (expected " +
                              std::to_string(kRingFormatVersion) + ")");
   }
   ReadResult out;
-  out.info.capacity = static_cast<std::size_t>(get_u64(bytes.data() + 16));
-  out.info.cursor = get_u64(bytes.data() + 24);
-  out.info.records_written = get_u64(bytes.data() + 32);
-  out.info.records_dropped = get_u64(bytes.data() + 40);
+  out.info.capacity = static_cast<std::size_t>(bytes::get_u64(file.data() + 16));
+  out.info.cursor = bytes::get_u64(file.data() + 24);
+  out.info.records_written = bytes::get_u64(file.data() + 32);
+  out.info.records_dropped = bytes::get_u64(file.data() + 40);
 
-  const std::uint8_t* ring = bytes.data() + kRingHeaderBytes;
+  const std::uint8_t* ring = file.data() + kRingHeaderBytes;
   const std::size_t ring_len =
-      bytes.size() - kRingHeaderBytes < out.info.capacity
-          ? bytes.size() - kRingHeaderBytes
+      file.size() - kRingHeaderBytes < out.info.capacity
+          ? file.size() - kRingHeaderBytes
           : out.info.capacity;
 
   std::size_t off = 0;
   while (off + kRecordHeaderBytes <= ring_len) {
-    if (get_u32(ring + off) != kRecordMagic) {
+    if (bytes::get_u32(ring + off) != kRecordMagic) {
       off += 8;
       continue;
     }
     const std::uint8_t* frame = ring + off;
-    const std::uint16_t type = get_u16(frame + 4);
-    const std::uint32_t payload_len = get_u32(frame + 8);
+    const std::uint16_t type = bytes::get_u16(frame + 4);
+    const std::uint32_t payload_len = bytes::get_u32(frame + 8);
     const std::size_t padded = (static_cast<std::size_t>(payload_len) + 7) & ~std::size_t{7};
     if (type < 1 || type > static_cast<std::uint16_t>(RecordType::kShutdown) ||
         payload_len > kMaxRecordPayload ||
@@ -789,15 +711,15 @@ ReadResult read_ring(const std::string& path) {
       off += 8;
       continue;
     }
-    if (frame_crc(frame, payload_len) != get_u32(frame + 12)) {
+    if (frame_crc(frame, payload_len) != bytes::get_u32(frame + 12)) {
       ++out.crc_rejects;
       off += 8;
       continue;
     }
     Record rec;
     rec.type = static_cast<RecordType>(type);
-    rec.seq = get_u64(frame + 16);
-    rec.t_us = get_u64(frame + 24);
+    rec.seq = bytes::get_u64(frame + 16);
+    rec.t_us = bytes::get_u64(frame + 24);
     rec.payload.assign(frame + kRecordHeaderBytes,
                        frame + kRecordHeaderBytes + payload_len);
     out.records.push_back(std::move(rec));

@@ -1,6 +1,5 @@
 #include "obs/snapshot.h"
 
-#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -10,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
+#include "tensor/bytes.h"
 
 namespace gtv::obs::agg {
 
@@ -21,90 +21,22 @@ constexpr std::size_t kMaxStringBytes = 16u << 20;
 constexpr std::size_t kMaxLinks = 1u << 16;
 constexpr std::size_t kMaxHotFrames = 64;
 
-void append_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void append_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void append_f32_le(std::vector<std::uint8_t>& out, float f) {
-  std::uint32_t bits = 0;
-  std::memcpy(&bits, &f, 4);
-  append_u32_le(out, bits);
-}
-
-void append_str(std::vector<std::uint8_t>& out, const std::string& s) {
+void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
   if (s.size() > kMaxStringBytes) {
     throw net::WireError("snapshot: string field too large (" +
                          std::to_string(s.size()) + " bytes)");
   }
-  append_u32_le(out, static_cast<std::uint32_t>(s.size()));
+  bytes::put_u32(out, static_cast<std::uint32_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
 }
 
-class Reader {
- public:
-  explicit Reader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[offset_ + i]) << (8 * i);
-    }
-    offset_ += 4;
-    return v;
+std::string read_str(bytes::Reader& r) {
+  const std::uint32_t len = r.u32("string length");
+  if (len > kMaxStringBytes) {
+    throw net::WireError("snapshot: string length " + std::to_string(len) + " exceeds cap");
   }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[offset_ + i]) << (8 * i);
-    }
-    offset_ += 8;
-    return v;
-  }
-
-  float f32() {
-    const std::uint32_t bits = u32();
-    float f = 0.0f;
-    std::memcpy(&f, &bits, 4);
-    return f;
-  }
-
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (len > kMaxStringBytes) {
-      throw net::WireError("snapshot: string length " + std::to_string(len) +
-                           " exceeds cap");
-    }
-    need(len);
-    std::string s(reinterpret_cast<const char*>(bytes_.data()) + offset_, len);
-    offset_ += len;
-    return s;
-  }
-
-  void expect_end() const {
-    if (offset_ != bytes_.size()) {
-      throw net::WireError("snapshot: " + std::to_string(bytes_.size() - offset_) +
-                           " trailing bytes after decode");
-    }
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (bytes_.size() - offset_ < n) {
-      throw net::WireError("snapshot: truncated frame (need " + std::to_string(n) +
-                           " bytes at offset " + std::to_string(offset_) + ")");
-    }
-  }
-
-  const std::vector<std::uint8_t>& bytes_;
-  std::size_t offset_ = 0;
-};
+  return r.chars(len, "string");
+}
 
 }  // namespace
 
@@ -119,102 +51,103 @@ std::vector<std::uint8_t> serialize_snapshot(const Snapshot& snap) {
   }
   std::vector<std::uint8_t> out;
   out.reserve(128 + snap.party.size() + snap.prom.size() + snap.links.size() * 32);
-  append_u32_le(out, kSnapshotSchemaVersion);
-  append_str(out, snap.party);
-  append_u64_le(out, snap.seq);
-  append_u64_le(out, snap.t_us);
-  append_u64_le(out, snap.round);
-  append_u64_le(out, snap.rounds_total);
-  append_u32_le(out, snap.phase);
-  append_f32_le(out, snap.d_loss);
-  append_f32_le(out, snap.g_loss);
-  append_f32_le(out, snap.gp);
-  append_f32_le(out, snap.wasserstein);
-  append_u64_le(out, snap.bytes);
-  append_u64_le(out, snap.messages);
-  append_u64_le(out, snap.retries);
-  append_u64_le(out, snap.timeouts);
-  append_u64_le(out, snap.corrupt_frames);
-  append_u64_le(out, snap.mem_live_bytes);
-  append_u64_le(out, snap.mem_peak_bytes);
-  append_u64_le(out, snap.alerts_info);
-  append_u64_le(out, snap.alerts_warn);
-  append_u64_le(out, snap.alerts_fatal);
-  append_u32_le(out, static_cast<std::uint32_t>(snap.links.size()));
+  bytes::put_u32(out, kSnapshotSchemaVersion);
+  put_str(out, snap.party);
+  bytes::put_u64(out, snap.seq);
+  bytes::put_u64(out, snap.t_us);
+  bytes::put_u64(out, snap.round);
+  bytes::put_u64(out, snap.rounds_total);
+  bytes::put_u32(out, snap.phase);
+  bytes::put_f32(out, snap.d_loss);
+  bytes::put_f32(out, snap.g_loss);
+  bytes::put_f32(out, snap.gp);
+  bytes::put_f32(out, snap.wasserstein);
+  bytes::put_u64(out, snap.bytes);
+  bytes::put_u64(out, snap.messages);
+  bytes::put_u64(out, snap.retries);
+  bytes::put_u64(out, snap.timeouts);
+  bytes::put_u64(out, snap.corrupt_frames);
+  bytes::put_u64(out, snap.mem_live_bytes);
+  bytes::put_u64(out, snap.mem_peak_bytes);
+  bytes::put_u64(out, snap.alerts_info);
+  bytes::put_u64(out, snap.alerts_warn);
+  bytes::put_u64(out, snap.alerts_fatal);
+  bytes::put_u32(out, static_cast<std::uint32_t>(snap.links.size()));
   for (const LinkTraffic& lt : snap.links) {
-    append_str(out, lt.link);
-    append_u64_le(out, lt.bytes);
-    append_u64_le(out, lt.messages);
+    put_str(out, lt.link);
+    bytes::put_u64(out, lt.bytes);
+    bytes::put_u64(out, lt.messages);
   }
-  append_u64_le(out, snap.samples_total);
-  append_u32_le(out, static_cast<std::uint32_t>(snap.hot.size()));
+  bytes::put_u64(out, snap.samples_total);
+  bytes::put_u32(out, static_cast<std::uint32_t>(snap.hot.size()));
   for (const HotFrame& hf : snap.hot) {
-    append_str(out, hf.frame);
-    append_u64_le(out, hf.samples);
-    append_u32_le(out, hf.on_cpu);
+    put_str(out, hf.frame);
+    bytes::put_u64(out, hf.samples);
+    bytes::put_u32(out, hf.on_cpu);
   }
-  append_str(out, snap.prom);
+  put_str(out, snap.prom);
   return out;
 }
 
-Snapshot deserialize_snapshot(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
-  const std::uint32_t version = r.u32();
-  if (version != kSnapshotSchemaVersion) {
-    throw net::WireError("snapshot: schema version " + std::to_string(version) +
-                         " (expected " + std::to_string(kSnapshotSchemaVersion) + ")");
-  }
-  Snapshot snap;
-  snap.party = r.str();
-  snap.seq = r.u64();
-  snap.t_us = r.u64();
-  snap.round = r.u64();
-  snap.rounds_total = r.u64();
-  snap.phase = r.u32();
-  snap.d_loss = r.f32();
-  snap.g_loss = r.f32();
-  snap.gp = r.f32();
-  snap.wasserstein = r.f32();
-  snap.bytes = r.u64();
-  snap.messages = r.u64();
-  snap.retries = r.u64();
-  snap.timeouts = r.u64();
-  snap.corrupt_frames = r.u64();
-  snap.mem_live_bytes = r.u64();
-  snap.mem_peak_bytes = r.u64();
-  snap.alerts_info = r.u64();
-  snap.alerts_warn = r.u64();
-  snap.alerts_fatal = r.u64();
-  const std::uint32_t n_links = r.u32();
-  if (n_links > kMaxLinks) {
-    throw net::WireError("snapshot: link count " + std::to_string(n_links) +
-                         " exceeds cap");
-  }
-  snap.links.reserve(n_links);
-  for (std::uint32_t i = 0; i < n_links; ++i) {
-    LinkTraffic lt;
-    lt.link = r.str();
-    lt.bytes = r.u64();
-    lt.messages = r.u64();
-    snap.links.push_back(std::move(lt));
-  }
-  snap.samples_total = r.u64();
-  const std::uint32_t n_hot = r.u32();
-  if (n_hot > kMaxHotFrames) {
-    throw net::WireError("snapshot: hot frame count " + std::to_string(n_hot) +
-                         " exceeds cap");
-  }
-  snap.hot.reserve(n_hot);
-  for (std::uint32_t i = 0; i < n_hot; ++i) {
-    HotFrame hf;
-    hf.frame = r.str();
-    hf.samples = r.u64();
-    hf.on_cpu = r.u32();
-    snap.hot.push_back(std::move(hf));
-  }
-  snap.prom = r.str();
-  r.expect_end();
-  return snap;
+Snapshot deserialize_snapshot(const std::vector<std::uint8_t>& payload) {
+  return bytes::guard<net::WireError>([&] {
+    bytes::Reader r(payload.data(), payload.size(), "snapshot");
+    const std::uint32_t version = r.u32("schema version");
+    if (version != kSnapshotSchemaVersion) {
+      throw net::WireError("snapshot: schema version " + std::to_string(version) +
+                           " (expected " + std::to_string(kSnapshotSchemaVersion) + ")");
+    }
+    Snapshot snap;
+    snap.party = read_str(r);
+    snap.seq = r.u64("seq");
+    snap.t_us = r.u64("t_us");
+    snap.round = r.u64("round");
+    snap.rounds_total = r.u64("rounds_total");
+    snap.phase = r.u32("phase");
+    snap.d_loss = r.f32("d_loss");
+    snap.g_loss = r.f32("g_loss");
+    snap.gp = r.f32("gp");
+    snap.wasserstein = r.f32("wasserstein");
+    snap.bytes = r.u64("bytes");
+    snap.messages = r.u64("messages");
+    snap.retries = r.u64("retries");
+    snap.timeouts = r.u64("timeouts");
+    snap.corrupt_frames = r.u64("corrupt_frames");
+    snap.mem_live_bytes = r.u64("mem_live_bytes");
+    snap.mem_peak_bytes = r.u64("mem_peak_bytes");
+    snap.alerts_info = r.u64("alerts_info");
+    snap.alerts_warn = r.u64("alerts_warn");
+    snap.alerts_fatal = r.u64("alerts_fatal");
+    const std::uint32_t n_links = r.u32("link count");
+    if (n_links > kMaxLinks) {
+      throw net::WireError("snapshot: link count " + std::to_string(n_links) + " exceeds cap");
+    }
+    snap.links.reserve(n_links);
+    for (std::uint32_t i = 0; i < n_links; ++i) {
+      LinkTraffic lt;
+      lt.link = read_str(r);
+      lt.bytes = r.u64("link bytes");
+      lt.messages = r.u64("link messages");
+      snap.links.push_back(std::move(lt));
+    }
+    snap.samples_total = r.u64("samples_total");
+    const std::uint32_t n_hot = r.u32("hot frame count");
+    if (n_hot > kMaxHotFrames) {
+      throw net::WireError("snapshot: hot frame count " + std::to_string(n_hot) +
+                           " exceeds cap");
+    }
+    snap.hot.reserve(n_hot);
+    for (std::uint32_t i = 0; i < n_hot; ++i) {
+      HotFrame hf;
+      hf.frame = read_str(r);
+      hf.samples = r.u64("hot samples");
+      hf.on_cpu = r.u32("hot on_cpu");
+      snap.hot.push_back(std::move(hf));
+    }
+    snap.prom = read_str(r);
+    r.expect_end();
+    return snap;
+  });
 }
 
 std::string Snapshot::to_json() const {

@@ -5,15 +5,13 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "tensor/bytes.h"
+
 namespace gtv::psi {
 
 std::uint64_t salted_hash(const std::string& id, std::uint64_t salt) {
   // FNV-1a over the bytes, then SplitMix64 finalization keyed by the salt.
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ salt;
-  for (unsigned char c : id) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
+  std::uint64_t h = bytes::fnv1a64(id.data(), id.size(), bytes::kFnv1aOffset ^ salt);
   h += 0x9e3779b97f4a7c15ULL + salt;
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;

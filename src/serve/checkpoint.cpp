@@ -1,7 +1,6 @@
 #include "serve/checkpoint.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "nn/serialize.h"
@@ -19,15 +18,13 @@ void append_net_state(std::vector<std::uint8_t>& out, const NetState& state) {
   nn::append_tensor_block(out, state.tensors);
 }
 
-NetState parse_net_state(const std::uint8_t* data, std::size_t size, std::size_t& offset) {
-  bytes::Reader r(data, size, "checkpoint", offset);
+NetState read_net_state(bytes::Reader& r) {
   NetState state;
   state.arch.in_features = r.u64("arch in");
   state.arch.hidden = r.u64("arch hidden");
   state.arch.n_blocks = r.u64("arch blocks");
   state.arch.out_features = r.u64("arch out");
-  offset = r.offset;
-  state.tensors = nn::parse_tensor_block(data, size, offset);
+  state.tensors = nn::read_tensor_block(r);
   return state;
 }
 
@@ -38,14 +35,12 @@ void append_client_part(std::vector<std::uint8_t>& out, const ClientPart& part) 
   part.encoder.serialize(out);
 }
 
-ClientPart parse_client_part(const std::uint8_t* data, std::size_t size, std::size_t& offset) {
-  bytes::Reader r(data, size, "checkpoint", offset);
+ClientPart read_client_part(bytes::Reader& r) {
   ClientPart part;
   part.cv_width = r.u64("cv width");
   part.g_slice_width = r.u64("g slice width");
-  offset = r.offset;
-  part.g_bottom = parse_net_state(data, size, offset);
-  part.encoder = encode::TableEncoder::deserialize(data, size, offset);
+  part.g_bottom = read_net_state(r);
+  part.encoder = encode::TableEncoder::deserialize(r);
   return part;
 }
 
@@ -57,13 +52,11 @@ void append_rng_state(std::vector<std::uint8_t>& out, const Rng::State& state) {
   bytes::put_u8(out, state.has_spare ? 1 : 0);
 }
 
-Rng::State parse_rng_state(const std::uint8_t* data, std::size_t size, std::size_t& offset) {
-  bytes::Reader r(data, size, "train checkpoint", offset);
+Rng::State read_rng_state(bytes::Reader& r) {
   Rng::State state;
   for (int i = 0; i < 4; ++i) state.words[i] = r.u64("rng word");
   state.spare_bits = r.u64("rng spare");
   state.has_spare = r.u8("rng has_spare") != 0;
-  offset = r.offset;
   return state;
 }
 
@@ -73,14 +66,11 @@ void append_adam_state(std::vector<std::uint8_t>& out, const nn::AdamState& stat
   nn::append_tensor_block(out, state.v);
 }
 
-nn::AdamState parse_adam_state(const std::uint8_t* data, std::size_t size,
-                               std::size_t& offset) {
-  bytes::Reader r(data, size, "train checkpoint", offset);
+nn::AdamState read_adam_state(bytes::Reader& r) {
   nn::AdamState state;
   state.step_count = r.u64("adam step count");
-  offset = r.offset;
-  state.m = nn::parse_tensor_block(data, size, offset);
-  state.v = nn::parse_tensor_block(data, size, offset);
+  state.m = nn::read_tensor_block(r);
+  state.v = nn::read_tensor_block(r);
   if (state.m.size() != state.v.size()) {
     throw CheckpointError("train checkpoint: adam moment count mismatch");
   }
@@ -97,18 +87,14 @@ void append_server_train_part(std::vector<std::uint8_t>& out, const ServerTrainP
   append_rng_state(out, part.rng);
 }
 
-ServerTrainPart parse_server_train_part(const std::uint8_t* data, std::size_t size,
-                                        std::size_t& offset) {
+ServerTrainPart read_server_train_part(bytes::Reader& r) {
   ServerTrainPart part;
-  part.g_top = nn::parse_tensor_block(data, size, offset);
-  part.d_top = nn::parse_tensor_block(data, size, offset);
-  bytes::Reader r(data, size, "train checkpoint", offset);
-  const bool has_d_s = r.u8("has d_s") != 0;
-  offset = r.offset;
-  if (has_d_s) part.d_s = nn::parse_tensor_block(data, size, offset);
-  part.adam_g = parse_adam_state(data, size, offset);
-  part.adam_d = parse_adam_state(data, size, offset);
-  part.rng = parse_rng_state(data, size, offset);
+  part.g_top = nn::read_tensor_block(r);
+  part.d_top = nn::read_tensor_block(r);
+  if (r.u8("has d_s") != 0) part.d_s = nn::read_tensor_block(r);
+  part.adam_g = read_adam_state(r);
+  part.adam_d = read_adam_state(r);
+  part.rng = read_rng_state(r);
   return part;
 }
 
@@ -123,21 +109,18 @@ void append_client_train_part(std::vector<std::uint8_t>& out, const ClientTrainP
   for (const std::uint64_t row : part.original_row) bytes::put_u64(out, row);
 }
 
-ClientTrainPart parse_client_train_part(const std::uint8_t* data, std::size_t size,
-                                        std::size_t& offset) {
+ClientTrainPart read_client_train_part(bytes::Reader& r) {
   ClientTrainPart part;
-  part.g_bottom = nn::parse_tensor_block(data, size, offset);
-  part.d_bottom = nn::parse_tensor_block(data, size, offset);
-  part.adam_g = parse_adam_state(data, size, offset);
-  part.adam_d = parse_adam_state(data, size, offset);
-  part.rng = parse_rng_state(data, size, offset);
-  part.dp_rng = parse_rng_state(data, size, offset);
-  bytes::Reader r(data, size, "train checkpoint", offset);
+  part.g_bottom = nn::read_tensor_block(r);
+  part.d_bottom = nn::read_tensor_block(r);
+  part.adam_g = read_adam_state(r);
+  part.adam_d = read_adam_state(r);
+  part.rng = read_rng_state(r);
+  part.dp_rng = read_rng_state(r);
   const std::uint64_t rows = r.u64("row order count");
-  if (rows > size) throw CheckpointError("train checkpoint: implausible row count");
+  if (rows > r.remaining() / 8) throw CheckpointError("train checkpoint: implausible row count");
   part.original_row.reserve(static_cast<std::size_t>(rows));
   for (std::uint64_t i = 0; i < rows; ++i) part.original_row.push_back(r.u64("row order"));
-  offset = r.offset;
   return part;
 }
 
@@ -157,7 +140,7 @@ void write_envelope(const std::string& path, std::uint32_t magic, std::uint32_t 
   bytes::put_u32(out, version);
   bytes::put_u64(out, payload.size());
   out.insert(out.end(), payload.begin(), payload.end());
-  bytes::put_u32(out, nn::state_crc32(payload.data(), payload.size()));
+  bytes::put_u32(out, bytes::crc32(payload.data(), payload.size()));
 
   const std::string tmp = path + ".tmp";
   {
@@ -205,7 +188,7 @@ std::vector<std::uint8_t> read_envelope(const std::string& path, std::uint32_t m
   }
   payload_len = static_cast<std::size_t>(len);
   const std::uint8_t* payload = raw.data() + kEnvelopeHeader;
-  if (bytes::get_u32(payload + payload_len) != nn::state_crc32(payload, payload_len)) {
+  if (bytes::get_u32(payload + payload_len) != bytes::crc32(payload, payload_len)) {
     throw CheckpointError(who + ": CRC mismatch in '" + path + "'");
   }
   return raw;
@@ -232,12 +215,7 @@ std::unique_ptr<gan::GeneratorNet> build_generator(const NetState& state) {
       static_cast<std::size_t>(state.arch.hidden),
       static_cast<std::size_t>(state.arch.n_blocks),
       static_cast<std::size_t>(state.arch.out_features), init_rng);
-  try {
-    nn::restore_state(*net, state.tensors);
-  } catch (const std::runtime_error& e) {
-    throw CheckpointError(std::string("checkpoint: weights do not fit architecture: ") +
-                          e.what());
-  }
+  bytes::guard<CheckpointError>([&] { nn::restore_state(*net, state.tensors); });
   net->set_training(false);
   return net;
 }
@@ -250,23 +228,16 @@ std::vector<std::uint8_t> encode_server_part(const ServerPart& part) {
   return out;
 }
 
-ServerPart decode_server_part(const std::vector<std::uint8_t>& bytes_in) {
-  try {
-    bytes::Reader r(bytes_in.data(), bytes_in.size(), "checkpoint server part");
+ServerPart decode_server_part(const std::vector<std::uint8_t>& in) {
+  return bytes::guard<CheckpointError>([&] {
+    bytes::Reader r(in.data(), in.size(), "checkpoint server part");
     ServerPart part;
     part.noise_dim = r.u64("noise dim");
     part.gumbel_tau = r.f32("gumbel tau");
-    std::size_t offset = r.offset;
-    part.g_top = parse_net_state(bytes_in.data(), bytes_in.size(), offset);
-    if (offset != bytes_in.size()) {
-      throw CheckpointError("checkpoint: trailing bytes in server part");
-    }
+    part.g_top = read_net_state(r);
+    r.expect_end();
     return part;
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw CheckpointError(e.what());
-  }
+  });
 }
 
 std::vector<std::uint8_t> encode_client_part(const ClientPart& part) {
@@ -275,19 +246,13 @@ std::vector<std::uint8_t> encode_client_part(const ClientPart& part) {
   return out;
 }
 
-ClientPart decode_client_part(const std::vector<std::uint8_t>& bytes_in) {
-  try {
-    std::size_t offset = 0;
-    ClientPart part = parse_client_part(bytes_in.data(), bytes_in.size(), offset);
-    if (offset != bytes_in.size()) {
-      throw CheckpointError("checkpoint: trailing bytes in client part");
-    }
+ClientPart decode_client_part(const std::vector<std::uint8_t>& in) {
+  return bytes::guard<CheckpointError>([&] {
+    bytes::Reader r(in.data(), in.size(), "checkpoint client part");
+    ClientPart part = read_client_part(r);
+    r.expect_end();
     return part;
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw CheckpointError(e.what());
-  }
+  });
 }
 
 std::vector<std::uint8_t> encode_server_train_part(const ServerTrainPart& part) {
@@ -296,19 +261,13 @@ std::vector<std::uint8_t> encode_server_train_part(const ServerTrainPart& part) 
   return out;
 }
 
-ServerTrainPart decode_server_train_part(const std::vector<std::uint8_t>& bytes_in) {
-  try {
-    std::size_t offset = 0;
-    ServerTrainPart part = parse_server_train_part(bytes_in.data(), bytes_in.size(), offset);
-    if (offset != bytes_in.size()) {
-      throw CheckpointError("train checkpoint: trailing bytes in server part");
-    }
+ServerTrainPart decode_server_train_part(const std::vector<std::uint8_t>& in) {
+  return bytes::guard<CheckpointError>([&] {
+    bytes::Reader r(in.data(), in.size(), "train checkpoint server part");
+    ServerTrainPart part = read_server_train_part(r);
+    r.expect_end();
     return part;
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw CheckpointError(e.what());
-  }
+  });
 }
 
 std::vector<std::uint8_t> encode_client_train_part(const ClientTrainPart& part) {
@@ -317,19 +276,13 @@ std::vector<std::uint8_t> encode_client_train_part(const ClientTrainPart& part) 
   return out;
 }
 
-ClientTrainPart decode_client_train_part(const std::vector<std::uint8_t>& bytes_in) {
-  try {
-    std::size_t offset = 0;
-    ClientTrainPart part = parse_client_train_part(bytes_in.data(), bytes_in.size(), offset);
-    if (offset != bytes_in.size()) {
-      throw CheckpointError("train checkpoint: trailing bytes in client part");
-    }
+ClientTrainPart decode_client_train_part(const std::vector<std::uint8_t>& in) {
+  return bytes::guard<CheckpointError>([&] {
+    bytes::Reader r(in.data(), in.size(), "train checkpoint client part");
+    ClientTrainPart part = read_client_train_part(r);
+    r.expect_end();
     return part;
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw CheckpointError(e.what());
-  }
+  });
 }
 
 void save_train_checkpoint(const TrainCheckpoint& checkpoint, const std::string& path) {
@@ -353,53 +306,40 @@ void save_train_checkpoint(const TrainCheckpoint& checkpoint, const std::string&
 }
 
 TrainCheckpoint load_train_checkpoint(const std::string& path) {
-  try {
+  return bytes::guard<CheckpointError>([&] {
     std::size_t payload_len = 0;
     const std::vector<std::uint8_t> raw =
         read_envelope(path, kTrainCheckpointMagic, kTrainCheckpointVersion,
                       "load_train_checkpoint", payload_len);
-    const std::uint8_t* payload = raw.data() + kEnvelopeHeader;
-
-    bytes::Reader r(payload, payload_len, "load_train_checkpoint");
+    bytes::Reader r(raw.data() + kEnvelopeHeader, payload_len, "load_train_checkpoint");
     TrainCheckpoint ckpt;
     ckpt.seed = r.u64("seed");
     ckpt.round = r.u64("round");
-    std::size_t offset = r.offset;
-    ckpt.shuffle_stream = parse_rng_state(payload, payload_len, offset);
-    ckpt.publish_stream = parse_rng_state(payload, payload_len, offset);
-    bytes::Reader hist(payload, payload_len, "load_train_checkpoint", offset);
-    const std::uint64_t n_history = hist.u64("history count");
-    if (n_history > payload_len) {
+    ckpt.shuffle_stream = read_rng_state(r);
+    ckpt.publish_stream = read_rng_state(r);
+    const std::uint64_t n_history = r.u64("history count");
+    if (n_history > r.remaining() / 16) {
       throw CheckpointError("load_train_checkpoint: implausible history count");
     }
     for (std::uint64_t i = 0; i < n_history; ++i) {
       gan::RoundLosses losses;
-      losses.d_loss = hist.f32("history d loss");
-      losses.g_loss = hist.f32("history g loss");
-      losses.gp = hist.f32("history gp");
-      losses.wasserstein = hist.f32("history wasserstein");
+      losses.d_loss = r.f32("history d loss");
+      losses.g_loss = r.f32("history g loss");
+      losses.gp = r.f32("history gp");
+      losses.wasserstein = r.f32("history wasserstein");
       ckpt.history.push_back(losses);
     }
-    offset = hist.offset;
-    ckpt.server = parse_server_train_part(payload, payload_len, offset);
-    bytes::Reader tail(payload, payload_len, "load_train_checkpoint", offset);
-    const std::uint64_t n_clients = tail.u64("client count");
+    ckpt.server = read_server_train_part(r);
+    const std::uint64_t n_clients = r.u64("client count");
     if (n_clients > 4096) {
       throw CheckpointError("load_train_checkpoint: implausible client count");
     }
-    offset = tail.offset;
     for (std::uint64_t i = 0; i < n_clients; ++i) {
-      ckpt.clients.push_back(parse_client_train_part(payload, payload_len, offset));
+      ckpt.clients.push_back(read_client_train_part(r));
     }
-    if (offset != payload_len) {
-      throw CheckpointError("load_train_checkpoint: trailing bytes inside payload");
-    }
+    r.expect_end();
     return ckpt;
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw CheckpointError(e.what());
-  }
+  });
 }
 
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
@@ -416,56 +356,36 @@ void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
-  try {
+  return bytes::guard<CheckpointError>([&] {
     std::size_t payload_len = 0;
     const std::vector<std::uint8_t> raw = read_envelope(
         path, kCheckpointMagic, kCheckpointVersion, "load_checkpoint", payload_len);
-    const std::uint8_t* payload = raw.data() + kEnvelopeHeader;
-
-    bytes::Reader r(payload, payload_len, "load_checkpoint");
+    bytes::Reader r(raw.data() + kEnvelopeHeader, payload_len, "load_checkpoint");
     Checkpoint ckpt;
     ckpt.model_hash = r.u64("model hash");
     ckpt.seed = r.u64("seed");
     ckpt.rounds = r.u64("rounds");
     ckpt.noise_dim = r.u64("noise dim");
     ckpt.gumbel_tau = r.f32("gumbel tau");
-    std::size_t offset = r.offset;
-    ckpt.g_top = parse_net_state(payload, payload_len, offset);
-    bytes::Reader tail(payload, payload_len, "load_checkpoint", offset);
-    const std::uint64_t n_clients = tail.u64("client count");
+    ckpt.g_top = read_net_state(r);
+    const std::uint64_t n_clients = r.u64("client count");
     if (n_clients > 4096) throw CheckpointError("load_checkpoint: implausible client count");
-    offset = tail.offset;
-    for (std::uint64_t i = 0; i < n_clients; ++i) {
-      ckpt.clients.push_back(parse_client_part(payload, payload_len, offset));
-    }
-    if (offset != payload_len) {
-      throw CheckpointError("load_checkpoint: trailing bytes inside payload");
-    }
+    for (std::uint64_t i = 0; i < n_clients; ++i) ckpt.clients.push_back(read_client_part(r));
+    r.expect_end();
     return ckpt;
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw CheckpointError(e.what());
-  }
+  });
 }
 
 std::uint64_t hash_table(const data::Table& table) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(table.n_rows());
-  mix(table.n_cols());
+  // FNV-1a over n_rows, n_cols and each cell's f64 bits, all little-endian.
+  std::vector<std::uint8_t> row;
+  bytes::put_u64(row, table.n_rows());
+  bytes::put_u64(row, table.n_cols());
+  std::uint64_t h = bytes::fnv1a64(row.data(), row.size());
   for (std::size_t r = 0; r < table.n_rows(); ++r) {
-    for (std::size_t c = 0; c < table.n_cols(); ++c) {
-      const double cell = table.cell(r, c);
-      std::uint64_t bits;
-      std::memcpy(&bits, &cell, 8);
-      mix(bits);
-    }
+    row.clear();
+    for (std::size_t c = 0; c < table.n_cols(); ++c) bytes::put_f64(row, table.cell(r, c));
+    h = bytes::fnv1a64(row.data(), row.size(), h);
   }
   return h;
 }

@@ -14,19 +14,6 @@ void put_tag(std::vector<std::uint8_t>& out, MsgType type) {
   bytes::put_u32(out, static_cast<std::uint32_t>(type));
 }
 
-// Wraps the bytes::Reader truncation errors into the transport's typed
-// error so callers handle one exception family for wire problems.
-template <typename Fn>
-auto wire_guard(const char* what, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const net::WireError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw net::WireError(std::string(what) + ": " + e.what());
-  }
-}
-
 bytes::Reader open(const std::vector<std::uint8_t>& payload, MsgType expect,
                    const char* what) {
   bytes::Reader r(payload.data(), payload.size(), what);
@@ -41,7 +28,7 @@ bytes::Reader open(const std::vector<std::uint8_t>& payload, MsgType expect,
 }  // namespace
 
 MsgType peek_type(const std::vector<std::uint8_t>& payload) {
-  return wire_guard("serve peek_type", [&] {
+  return bytes::guard<net::WireError>([&] {
     bytes::Reader r(payload.data(), payload.size(), "serve peek_type");
     return static_cast<MsgType>(r.u32("type tag"));
   });
@@ -55,11 +42,11 @@ std::vector<std::uint8_t> encode_hello(const Hello& msg) {
 }
 
 Hello decode_hello(const std::vector<std::uint8_t>& payload) {
-  return wire_guard("serve hello", [&] {
+  return bytes::guard<net::WireError>([&] {
     bytes::Reader r = open(payload, MsgType::kHello, "serve hello");
     Hello msg;
     msg.version = r.u32("version");
-    r.done();
+    r.expect_end();
     return msg;
   });
 }
@@ -75,7 +62,7 @@ std::vector<std::uint8_t> encode_welcome(const Welcome& msg) {
 }
 
 Welcome decode_welcome(const std::vector<std::uint8_t>& payload) {
-  return wire_guard("serve welcome", [&] {
+  return bytes::guard<net::WireError>([&] {
     bytes::Reader r = open(payload, MsgType::kWelcome, "serve welcome");
     Welcome msg;
     msg.version = r.u32("version");
@@ -84,7 +71,7 @@ Welcome decode_welcome(const std::vector<std::uint8_t>& payload) {
     if (n > kMaxColumns) throw net::WireError("serve welcome: implausible column count");
     msg.columns.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) msg.columns.push_back(r.str("column"));
-    r.done();
+    r.expect_end();
     return msg;
   });
 }
@@ -104,7 +91,7 @@ std::vector<std::uint8_t> encode_sample_request(const SampleRequest& msg) {
 }
 
 SampleRequest decode_sample_request(const std::vector<std::uint8_t>& payload) {
-  return wire_guard("serve sample request", [&] {
+  return bytes::guard<net::WireError>([&] {
     bytes::Reader r = open(payload, MsgType::kSampleRequest, "serve sample request");
     SampleRequest msg;
     msg.request_id = r.u64("request id");
@@ -117,13 +104,14 @@ SampleRequest decode_sample_request(const std::vector<std::uint8_t>& payload) {
       msg.cond_column = r.str("condition column");
       msg.cond_category = r.str("condition category");
     }
-    r.done();
+    r.expect_end();
     return msg;
   });
 }
 
 std::vector<std::uint8_t> encode_row_batch(const RowBatch& msg) {
   std::vector<std::uint8_t> out;
+  out.reserve(37 + 8 * msg.cells.size());
   put_tag(out, MsgType::kRowBatch);
   bytes::put_u64(out, msg.request_id);
   bytes::put_u64(out, msg.start_row);
@@ -135,7 +123,7 @@ std::vector<std::uint8_t> encode_row_batch(const RowBatch& msg) {
 }
 
 RowBatch decode_row_batch(const std::vector<std::uint8_t>& payload) {
-  return wire_guard("serve row batch", [&] {
+  return bytes::guard<net::WireError>([&] {
     bytes::Reader r = open(payload, MsgType::kRowBatch, "serve row batch");
     RowBatch msg;
     msg.request_id = r.u64("request id");
@@ -150,9 +138,10 @@ RowBatch decode_row_batch(const std::vector<std::uint8_t>& payload) {
     }
     const std::size_t cells =
         static_cast<std::size_t>(msg.n_rows) * static_cast<std::size_t>(msg.n_cols);
-    msg.cells.reserve(cells);
-    for (std::size_t i = 0; i < cells; ++i) msg.cells.push_back(r.f64("cell"));
-    r.done();
+    const std::uint8_t* p = r.raw(cells * 8, "cells");  // before allocating
+    r.expect_end();
+    msg.cells.resize(cells);
+    for (std::size_t i = 0; i < cells; ++i) msg.cells[i] = bytes::get_f64(p + 8 * i);
     return msg;
   });
 }
@@ -166,12 +155,12 @@ std::vector<std::uint8_t> encode_error(const ErrorReply& msg) {
 }
 
 ErrorReply decode_error(const std::vector<std::uint8_t>& payload) {
-  return wire_guard("serve error", [&] {
+  return bytes::guard<net::WireError>([&] {
     bytes::Reader r = open(payload, MsgType::kError, "serve error");
     ErrorReply msg;
     msg.request_id = r.u64("request id");
     msg.message = r.str("message");
-    r.done();
+    r.expect_end();
     return msg;
   });
 }

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "tensor/bytes.h"
 #include "tensor/gemm.h"
 
 namespace gtv {
@@ -399,6 +400,21 @@ std::ostream& operator<<(std::ostream& os, const Tensor& t) {
   if (t.rows() > max_show) os << "\n ...";
   os << "]";
   return os;
+}
+
+void put_tensor(std::vector<std::uint8_t>& out, const Tensor& t) {
+  bytes::put_u64(out, t.rows());
+  bytes::put_u64(out, t.cols());
+  bytes::put_f32s(out, t.data(), t.size());
+}
+
+Tensor read_tensor(bytes::Reader& r) {
+  const std::uint64_t rows = r.u64("tensor rows");
+  const std::uint64_t cols = r.u64("tensor cols");
+  if (cols != 0 && rows > r.remaining() / 4 / cols) r.fail("tensor shape exceeds the input");
+  Tensor t(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
+  r.f32s(t.data(), t.size(), "tensor values");
+  return t;
 }
 
 }  // namespace gtv

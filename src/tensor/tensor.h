@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <initializer_list>
 #include <iosfwd>
@@ -20,6 +21,10 @@
 #include "tensor/rng.h"
 
 namespace gtv {
+
+namespace bytes {
+struct Reader;
+}
 
 // Element storage for Tensor. The tracking allocator charges every buffer
 // to the gtv::obs memory ledger (live/peak/alloc-count gauges); build
@@ -136,5 +141,13 @@ class Tensor {
 };
 
 std::ostream& operator<<(std::ostream& os, const Tensor& t);
+
+// The one byte layout of a tensor, on the wire and in checkpoints (all
+// little-endian): u64 rows | u64 cols | rows*cols f32, row-major.
+void put_tensor(std::vector<std::uint8_t>& out, const Tensor& t);
+// Reads one tensor at the cursor. The shape is checked against the bytes
+// left before anything is allocated, so rows * cols * 4 cannot overflow;
+// throws std::runtime_error when they fall short.
+Tensor read_tensor(bytes::Reader& r);
 
 }  // namespace gtv

@@ -18,7 +18,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/gtv.h"
@@ -27,6 +29,7 @@
 #include "obs/blackbox.h"
 #include "serve/checkpoint.h"
 #include "serve/engine.h"
+#include "serve/protocol.h"
 
 namespace gtv::serve {
 namespace {
@@ -185,6 +188,48 @@ TEST(CheckpointTest, ArchitectureMismatchRejected) {
   Checkpoint no_clients = ckpt;
   no_clients.clients.clear();
   EXPECT_THROW(Synthesizer{no_clients}, CheckpointError);
+}
+
+// Every serve message decoder rejects a cut, a trailing byte, and a row
+// batch claiming more cells than its bytes hold, with net::WireError.
+TEST(ProtocolTest, DecodersRejectTruncationTrailingBytesAndOversizeBatches) {
+  Welcome welcome;
+  welcome.model_hash = 7;
+  welcome.columns = {"a", "bc"};
+  SampleRequest request;
+  request.request_id = 1;
+  request.n_rows = 4;
+  request.has_cond = true;
+  request.cond_column = "a";
+  request.cond_category = "x";
+  RowBatch batch;
+  batch.request_id = 1;
+  batch.n_rows = 2;
+  batch.n_cols = 2;
+  batch.done = true;
+  batch.cells = {1.0, 2.0, 3.0, 4.0};
+  using Decode = std::function<void(const std::vector<std::uint8_t>&)>;
+  const std::vector<std::pair<std::vector<std::uint8_t>, Decode>> cases = {
+      {encode_hello(Hello{}), [](const auto& b) { decode_hello(b); }},
+      {encode_welcome(welcome), [](const auto& b) { decode_welcome(b); }},
+      {encode_sample_request(request), [](const auto& b) { decode_sample_request(b); }},
+      {encode_row_batch(batch), [](const auto& b) { decode_row_batch(b); }},
+      {encode_error(ErrorReply{1, "bad"}), [](const auto& b) { decode_error(b); }},
+  };
+  for (const auto& [encoded, decode] : cases) {
+    EXPECT_NO_THROW(decode(encoded));
+    for (std::size_t len = 0; len < encoded.size(); ++len) {
+      EXPECT_THROW(decode({encoded.begin(), encoded.begin() + len}), net::WireError)
+          << "len=" << len;
+    }
+    auto padded = encoded;
+    padded.push_back(0);
+    EXPECT_THROW(decode(padded), net::WireError);
+  }
+  // 2^14 x 2^14 cells claimed by a header with no cells behind it.
+  batch.cells.clear();
+  batch.n_rows = batch.n_cols = 1 << 14;
+  EXPECT_THROW(decode_row_batch(encode_row_batch(batch)), net::WireError);
 }
 
 TEST(SynthesizerTest, SeededSamplingIsDeterministicAndBatchInvariant) {

@@ -13,6 +13,7 @@
 #include "net/tcp.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
+#include "tensor/bytes.h"
 
 namespace gtv::net {
 namespace {
@@ -111,8 +112,10 @@ TEST(FrameCodecTest, TruncationAtEveryLengthThrows) {
 TEST(FrameCodecTest, CrcMatchesKnownVector) {
   // CRC-32 (IEEE) of "123456789" is the classic check value 0xcbf43926.
   const std::string s = "123456789";
-  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()),
-            0xcbf43926u);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
+  EXPECT_EQ(bytes::crc32(p, s.size()), 0xcbf43926u);
+  // The ranged form continues a CRC across pieces.
+  EXPECT_EQ(bytes::crc32(p + 4, 5, bytes::crc32(p, 4)), 0xcbf43926u);
 }
 
 // --- Transport sequencing --------------------------------------------------------
@@ -403,6 +406,33 @@ TEST(TcpTransportTest, RecvFailsFastOnceTheSourceRestarted) {
   EXPECT_EQ(waiting.get(), "restart");
   EXPECT_EQ(outcome(), "restart");  // restart before the wait
 
+  server.reset_link("client0->server");
+  second.send("client0->server", bytes_of({2}));
+  EXPECT_EQ(server.recv("client0->server", 5000), bytes_of({2}));
+}
+
+// A live link cannot be taken over by a second dial under its peer's name:
+// the acceptor refuses the dial at HELLO, so the dialer's connect fails
+// rather than returning a socket the acceptor has already closed. Once the
+// first connection is gone, the same dial connects and its frames arrive.
+TEST(TcpTransportTest, DuplicateDialIsRefusedAtHello) {
+  TcpTransport server("server");
+  const std::uint16_t port = server.listen(0);
+  auto first = std::make_unique<TcpTransport>("client0");
+  first->connect_peer("server", "127.0.0.1", port);
+  ASSERT_TRUE(server.wait_for_live_peer("client0", 5000));
+
+  TcpOptions two_attempts;
+  two_attempts.connect_attempts = 2;
+  TcpTransport stray("client0", two_attempts);
+  EXPECT_THROW(stray.connect_peer("server", "127.0.0.1", port), TransportError);
+  first->send("client0->server", bytes_of({1}));
+  EXPECT_EQ(server.recv("client0->server", 5000), bytes_of({1}));
+  EXPECT_EQ(server.conn_generation("client0"), 1u);
+
+  first.reset();
+  TcpTransport second("client0");
+  second.connect_peer("server", "127.0.0.1", port);
   server.reset_link("client0->server");
   second.send("client0->server", bytes_of({2}));
   EXPECT_EQ(server.recv("client0->server", 5000), bytes_of({2}));

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,6 +40,7 @@
 #include "serve/checkpoint.h"
 #include "serve/daemon.h"
 #include "serve/engine.h"
+#include "tensor/bytes.h"
 
 namespace {
 
@@ -256,21 +256,11 @@ int run_client(const Args& args) {
               static_cast<unsigned long long>([&result] {
                 // FNV-1a over the received cells: lets smoke tests compare
                 // two runs without storing the full payload.
-                std::uint64_t h = 0xcbf29ce484222325ULL;
-                auto mix = [&h](std::uint64_t v) {
-                  for (int i = 0; i < 8; ++i) {
-                    h ^= (v >> (8 * i)) & 0xffu;
-                    h *= 0x100000001b3ULL;
-                  }
-                };
-                mix(result.n_rows);
-                mix(result.n_cols);
-                for (const double cell : result.cells) {
-                  std::uint64_t bits;
-                  std::memcpy(&bits, &cell, 8);
-                  mix(bits);
-                }
-                return h;
+                std::vector<std::uint8_t> cells;
+                bytes::put_u64(cells, result.n_rows);
+                bytes::put_u64(cells, result.n_cols);
+                for (const double cell : result.cells) bytes::put_f64(cells, cell);
+                return bytes::fnv1a64(cells.data(), cells.size());
               }()));
   return 0;
 }
