@@ -89,8 +89,7 @@ std::vector<std::size_t> recv_command(net::TrafficMeter& meter, const std::strin
 void send_report(net::TrafficMeter& meter, const std::string& on,
                  const std::vector<double>& values) {
   std::vector<std::uint8_t> out;
-  out.reserve(values.size() * sizeof(double));
-  for (const double v : values) bytes::put_f64(out, v);
+  bytes::put_f64s(out, values.data(), values.size());
   meter.send_payload(on, out);
 }
 
@@ -105,7 +104,7 @@ std::vector<double> recv_report(net::TrafficMeter& meter, const std::string& on,
   }
   bytes::Reader reader(in.data(), in.size(), "node report");
   std::vector<double> values(size);
-  for (double& v : values) v = reader.f64("value");
+  reader.f64s(values.data(), size, "value");
   return values;
 }
 

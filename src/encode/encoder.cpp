@@ -223,13 +223,13 @@ std::uint64_t checked_count(bytes::Reader& r, const char* what) {
 
 void put_doubles(std::vector<std::uint8_t>& out, const std::vector<double>& values) {
   bytes::put_u64(out, values.size());
-  for (double v : values) bytes::put_f64(out, v);
+  bytes::put_f64s(out, values.data(), values.size());
 }
 
 std::vector<double> read_doubles(bytes::Reader& r, const char* what) {
   const std::uint64_t n = checked_count(r, what);
   std::vector<double> values(static_cast<std::size_t>(n));
-  for (auto& v : values) v = r.f64(what);
+  r.f64s(values.data(), values.size(), what);
   return values;
 }
 
@@ -252,9 +252,10 @@ void TableEncoder::serialize(std::vector<std::uint8_t>& out) const {
   for (const auto& codec : codecs_) {
     bytes::put_u32(out, static_cast<std::uint32_t>(codec.type));
     bytes::put_u64(out, codec.gmm.n_modes());
-    for (double v : codec.gmm.weights()) bytes::put_f64(out, v);
-    for (double v : codec.gmm.means()) bytes::put_f64(out, v);
-    for (double v : codec.gmm.stds()) bytes::put_f64(out, v);
+    const GaussianMixture1D& gmm = codec.gmm;
+    bytes::put_f64s(out, gmm.weights().data(), gmm.weights().size());
+    bytes::put_f64s(out, gmm.means().data(), gmm.means().size());
+    bytes::put_f64s(out, gmm.stds().data(), gmm.stds().size());
     put_doubles(out, codec.special_values);
     bytes::put_u64(out, codec.cardinality);
     bytes::put_f64(out, codec.normalization_factor);
@@ -319,9 +320,9 @@ TableEncoder TableEncoder::deserialize(bytes::Reader& r) {
       std::vector<double> weights(static_cast<std::size_t>(n_modes));
       std::vector<double> means(static_cast<std::size_t>(n_modes));
       std::vector<double> stds(static_cast<std::size_t>(n_modes));
-      for (auto& v : weights) v = r.f64("gmm weight");
-      for (auto& v : means) v = r.f64("gmm mean");
-      for (auto& v : stds) v = r.f64("gmm std");
+      r.f64s(weights.data(), weights.size(), "gmm weight");
+      r.f64s(means.data(), means.size(), "gmm mean");
+      r.f64s(stds.data(), stds.size(), "gmm std");
       codec.gmm = GaussianMixture1D::from_components(std::move(weights), std::move(means),
                                                      std::move(stds));
     }

@@ -1,32 +1,59 @@
 #include "net/transport.h"
 
 #include <chrono>
+#include <string_view>
 
 #include "tensor/bytes.h"
 
 namespace gtv::net {
 
-std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  if (frame.link.size() > kMaxLinkNameBytes) {
-    throw WireError("frame: link name too long: " + frame.link);
+namespace {
+
+// Writes one frame: header, link, then payload, copied once from the
+// caller's buffer.
+std::vector<std::uint8_t> encode(std::string_view link, std::uint64_t seq,
+                                 const std::uint8_t* payload, std::size_t payload_len) {
+  if (link.size() > kMaxLinkNameBytes) {
+    throw WireError("frame: link name too long: " + std::string(link));
   }
-  if (frame.payload.size() > kMaxFramePayloadBytes) {
-    throw WireError("frame: payload too large on " + frame.link);
+  if (payload_len > kMaxFramePayloadBytes) {
+    throw WireError("frame: payload too large on " + std::string(link));
   }
+  const auto* link_bytes = reinterpret_cast<const std::uint8_t*>(link.data());
   std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderBytes + frame.link.size() + frame.payload.size());
+  out.reserve(kFrameHeaderBytes + link.size() + payload_len);
   bytes::put_u32(out, kFrameMagic);
   bytes::put_u16(out, kProtocolVersion);
-  bytes::put_u16(out, static_cast<std::uint16_t>(frame.link.size()));
-  bytes::put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  bytes::put_u64(out, frame.seq);
+  bytes::put_u16(out, static_cast<std::uint16_t>(link.size()));
+  bytes::put_u32(out, static_cast<std::uint32_t>(payload_len));
+  bytes::put_u64(out, seq);
   // CRC over link + payload; decode_frame_header validates the header.
-  const auto* link = reinterpret_cast<const std::uint8_t*>(frame.link.data());
-  bytes::put_u32(out, bytes::crc32(frame.payload.data(), frame.payload.size(),
-                                   bytes::crc32(link, frame.link.size())));
-  out.insert(out.end(), frame.link.begin(), frame.link.end());
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  bytes::put_u32(out, bytes::crc32(payload, payload_len, bytes::crc32(link_bytes, link.size())));
+  out.insert(out.end(), link_bytes, link_bytes + link.size());
+  out.insert(out.end(), payload, payload + payload_len);
   return out;
+}
+
+// Validates one complete frame where it lies: header, size, then CRC.
+// Throws as decode_frame documents.
+FrameHeader check(const std::uint8_t* data, std::size_t len) {
+  const FrameHeader header = decode_frame_header(data, len);
+  if (len != header.total_bytes()) {
+    throw WireError("frame: size mismatch (header says " +
+                    std::to_string(header.total_bytes()) + ", buffer has " +
+                    std::to_string(len) + ")");
+  }
+  const std::size_t body_len = static_cast<std::size_t>(header.link_len) + header.payload_len;
+  if (bytes::crc32(data + kFrameHeaderBytes, body_len) != bytes::get_u32(data + 20)) {
+    throw CorruptFrameError("frame: checksum mismatch");
+  }
+  return header;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_frame(const Frame& frame) {
+  return encode(frame.link, frame.seq, frame.payload.data(), frame.payload.size());
 }
 
 FrameHeader decode_frame_header(const std::uint8_t* data, std::size_t len) {
@@ -49,36 +76,24 @@ FrameHeader decode_frame_header(const std::uint8_t* data, std::size_t len) {
 }
 
 Frame decode_frame(const std::uint8_t* data, std::size_t len) {
-  const FrameHeader header = decode_frame_header(data, len);
-  if (len != header.total_bytes()) {
-    throw WireError("frame: size mismatch (header says " +
-                    std::to_string(header.total_bytes()) + ", buffer has " +
-                    std::to_string(len) + ")");
-  }
-  const std::uint32_t want_crc = bytes::get_u32(data + 20);
-  const std::uint8_t* body = data + kFrameHeaderBytes;
-  const std::size_t body_len = static_cast<std::size_t>(header.link_len) + header.payload_len;
-  if (bytes::crc32(body, body_len) != want_crc) {
-    throw CorruptFrameError("frame: checksum mismatch");
-  }
+  const FrameHeader header = check(data, len);
+  const std::uint8_t* link = data + kFrameHeaderBytes;
   Frame frame;
-  frame.link.assign(reinterpret_cast<const char*>(body), header.link_len);
+  frame.link.assign(reinterpret_cast<const char*>(link), header.link_len);
   frame.seq = header.seq;
-  frame.payload.assign(body + header.link_len, body + body_len);
+  frame.payload.assign(link + header.link_len, data + len);
   return frame;
 }
 
 // --- Transport base --------------------------------------------------------------
 
 void Transport::send(const std::string& link, const std::vector<std::uint8_t>& payload) {
-  Frame frame;
-  frame.link = link;
-  frame.payload = payload;
+  std::uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(seq_mu_);
-    frame.seq = send_seq_[link]++;
+    seq = send_seq_[link]++;
   }
-  deliver_frame(link, encode_frame(frame));
+  deliver_frame(link, encode(link, seq, payload.data(), payload.size()));
 }
 
 std::vector<std::uint8_t> Transport::recv(const std::string& link, int timeout_ms) {
@@ -90,21 +105,29 @@ std::vector<std::uint8_t> Transport::recv(const std::string& link, int timeout_m
     }
   }
   for (;;) {
+    // The frame is checked where it lies, and its own buffer, with header
+    // and link erased, becomes the payload.
     std::vector<std::uint8_t> raw = fetch_frame(link, timeout_ms);
-    Frame frame = decode_frame(raw.data(), raw.size());  // may throw Corrupt/WireError
-    if (frame.link != link) {
-      throw WireError("transport: misrouted frame for " + frame.link + " on " + link);
+    const FrameHeader header = check(raw.data(), raw.size());  // may throw Corrupt/WireError
+    const std::string_view frame_link(reinterpret_cast<const char*>(raw.data()) + kFrameHeaderBytes,
+                                      header.link_len);
+    if (frame_link != link) {
+      throw WireError("transport: misrouted frame for " + std::string(frame_link) + " on " + link);
     }
-    std::unique_lock<std::mutex> lock(seq_mu_);
-    const auto expected = recv_expected_.find(link);
-    if (expected == recv_expected_.end() ? frame.seq != 0 : frame.seq < expected->second) {
-      // Older than a message already delivered on this link, or, on a link
-      // that delivered nothing since its reset, from an earlier sender.
-      ++stale_dropped_;
-      continue;
+    {
+      std::lock_guard<std::mutex> lock(seq_mu_);
+      const auto expected = recv_expected_.find(link);
+      if (expected == recv_expected_.end() ? header.seq != 0 : header.seq < expected->second) {
+        // Older than a message already delivered on this link, or, on a
+        // link that delivered nothing since its reset, from an earlier
+        // sender.
+        ++stale_dropped_;
+        continue;
+      }
+      recv_expected_[link] = header.seq + 1;
     }
-    recv_expected_[link] = frame.seq + 1;
-    return std::move(frame.payload);
+    raw.erase(raw.begin(), raw.begin() + kFrameHeaderBytes + header.link_len);
+    return raw;
   }
 }
 

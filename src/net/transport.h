@@ -16,6 +16,10 @@
 //       20     4  crc32        CRC-32 (IEEE, bytes::crc32) over link + payload
 //       24     .  link bytes, then payload bytes
 //
+// send() writes the frame straight from the caller's payload, and recv()
+// checks the fetched frame where it lies and returns its own buffer with
+// header and link erased: neither side builds a Frame.
+//
 // Every send() numbers its frame with the link's next seq, and recv()
 // silently drops a frame whose seq is below the next expected one,
 // counting it in stale_frames_dropped(). Neither transport below loses,

@@ -118,7 +118,7 @@ std::vector<std::uint8_t> encode_row_batch(const RowBatch& msg) {
   bytes::put_u64(out, msg.n_rows);
   bytes::put_u64(out, msg.n_cols);
   bytes::put_u8(out, msg.done ? 1 : 0);
-  for (const double cell : msg.cells) bytes::put_f64(out, cell);
+  bytes::put_f64s(out, msg.cells.data(), msg.cells.size());
   return out;
 }
 
@@ -138,10 +138,10 @@ RowBatch decode_row_batch(const std::vector<std::uint8_t>& payload) {
     }
     const std::size_t cells =
         static_cast<std::size_t>(msg.n_rows) * static_cast<std::size_t>(msg.n_cols);
-    const std::uint8_t* p = r.raw(cells * 8, "cells");  // before allocating
-    r.expect_end();
+    if (cells > r.remaining() / 8) r.fail("cells exceed the input");  // before allocating
     msg.cells.resize(cells);
-    for (std::size_t i = 0; i < cells; ++i) msg.cells[i] = bytes::get_f64(p + 8 * i);
+    r.f64s(msg.cells.data(), cells, "cells");
+    r.expect_end();
     return msg;
   });
 }

@@ -109,13 +109,50 @@ TEST(FrameCodecTest, TruncationAtEveryLengthThrows) {
   EXPECT_THROW(decode_frame(padded), WireError);
 }
 
+// CRC-32 (IEEE, reflected 0xedb88320) one bit at a time, with no table:
+// the reference the table and the carry-less fold are both checked against.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n, std::uint32_t crc = 0) {
+  std::uint32_t c = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
 TEST(FrameCodecTest, CrcMatchesKnownVector) {
   // CRC-32 (IEEE) of "123456789" is the classic check value 0xcbf43926.
   const std::string s = "123456789";
   const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
   EXPECT_EQ(bytes::crc32(p, s.size()), 0xcbf43926u);
+  EXPECT_EQ(crc32_bitwise(p, s.size()), 0xcbf43926u);
   // The ranged form continues a CRC across pieces.
   EXPECT_EQ(bytes::crc32(p + 4, 5, bytes::crc32(p, 4)), 0xcbf43926u);
+
+  // Every length 0-1,100 at every start offset 0-15 crosses the 64-byte
+  // threshold, each 16-byte block count and each tail length at every
+  // alignment.
+  Rng rng(24);
+  std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  int mismatches = 0;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t n = 0; n <= 1100; ++n) {
+      const std::uint8_t* q = buf.data() + offset;
+      if (bytes::crc32(q, n) != crc32_bitwise(q, n) && ++mismatches <= 5) {
+        ADD_FAILURE() << "offset " << offset << " length " << n;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Every split point of 700 bytes through the ranged form.
+  const std::uint32_t whole = crc32_bitwise(buf.data(), 700);
+  for (std::size_t split = 0; split <= 700; ++split) {
+    EXPECT_EQ(bytes::crc32(buf.data() + split, 700 - split, bytes::crc32(buf.data(), split)),
+              whole)
+        << "split " << split;
+  }
+  EXPECT_EQ(bytes::crc32(buf.data(), buf.size()), crc32_bitwise(buf.data(), buf.size()));
 }
 
 // --- Transport sequencing --------------------------------------------------------
@@ -173,6 +210,37 @@ TEST(InProcTransportTest, CrossThreadDelivery) {
   producer.join();
 }
 
+TEST(InProcTransportTest, PayloadsOfEverySizeClassComeBackEqual) {
+  InProcTransport t;
+  Rng rng(3);
+  std::vector<std::uint8_t> large((std::size_t{1} << 20) + 3);
+  for (auto& b : large) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (const auto& payload : {std::vector<std::uint8_t>{}, bytes_of({7}), large}) {
+    t.send("a->b", payload);
+    EXPECT_EQ(t.recv("a->b", 0), payload) << payload.size() << " bytes";
+  }
+}
+
+TEST(InProcTransportTest, MisroutedFrameThrowsWireError) {
+  InProcTransport t;
+  Frame frame;  // well formed, but addressed to another link
+  frame.link = "c->b";
+  frame.payload = bytes_of({1});
+  t.deliver_frame("a->b", encode_frame(frame));
+  EXPECT_THROW(t.recv("a->b", 0), WireError);
+}
+
+TEST(InProcTransportTest, FrameShorterThanItsHeaderThrowsWireError) {
+  InProcTransport t;
+  Frame frame;
+  frame.link = "a->b";
+  frame.payload = bytes_of({1, 2, 3, 4});
+  auto encoded = encode_frame(frame);
+  encoded.pop_back();
+  t.deliver_frame("a->b", encoded);
+  EXPECT_THROW(t.recv("a->b", 0), WireError);
+}
+
 // --- corrupt frames --------------------------------------------------------------
 
 // Seq 0 on `link` with one payload byte flipped, as deliver_frame would
@@ -190,6 +258,17 @@ TEST(CorruptFrameTest, CorruptionIsCaughtByChecksum) {
   InProcTransport t;
   t.deliver_frame("a->b", corrupted_frame("a->b"));
   EXPECT_THROW(t.recv("a->b", 0), CorruptFrameError);
+}
+
+// A corrupt frame is consumed: the receive after the error returns the
+// next good payload, not the same bad frame again.
+TEST(CorruptFrameTest, CorruptFrameIsConsumed) {
+  InProcTransport t;
+  t.deliver_frame("a->b", corrupted_frame("a->b"));  // seq 0, fails its CRC
+  t.send("a->b", bytes_of({4, 5, 6}));               // seq 0, intact
+  EXPECT_THROW(t.recv("a->b", 0), CorruptFrameError);
+  EXPECT_EQ(t.recv("a->b", 0), bytes_of({4, 5, 6}));
+  EXPECT_THROW(t.recv("a->b", 0), TimeoutError);
 }
 
 // The receive path a TCP party runs: a corrupt frame is counted once, on

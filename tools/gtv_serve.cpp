@@ -259,7 +259,7 @@ int run_client(const Args& args) {
                 std::vector<std::uint8_t> cells;
                 bytes::put_u64(cells, result.n_rows);
                 bytes::put_u64(cells, result.n_cols);
-                for (const double cell : result.cells) bytes::put_f64(cells, cell);
+                bytes::put_f64s(cells, result.cells.data(), result.cells.size());
                 return bytes::fnv1a64(cells.data(), cells.size());
               }()));
   return 0;
